@@ -67,6 +67,18 @@ pub fn build_view_asg(q: &ViewQuery, schema: &DatabaseSchema) -> Result<ViewAsg,
     Ok(asg)
 }
 
+/// What a FLWR's bindings and predicates give the nodes it constructs.
+struct FlwrHead {
+    /// Scope of the RETURN body: the new variables, the FLWR's local
+    /// predicates, and the UCBinding of the constructed nodes.
+    inner_scope: Scope,
+    bindings: Vec<(String, String)>,
+    conditions: Vec<JoinCond>,
+    local_preds: Vec<LocalPred>,
+    agg_deps: Vec<AggSource>,
+    gate_cols: Vec<ColRef>,
+}
+
 struct Builder<'a> {
     schema: &'a DatabaseSchema,
     asg: ViewAsg,
@@ -108,7 +120,10 @@ impl<'a> Builder<'a> {
         Ok(())
     }
 
-    fn flwr(&mut self, parent: AsgNodeId, f: &Flwr, scope: &Scope) -> Result<(), AsgError> {
+    /// Bind a FLWR's variables and classify its predicates. Kept out of
+    /// [`Builder::flwr`] so the recursion through nested RETURN bodies
+    /// carries a small stack frame per level.
+    fn flwr_head(&self, f: &Flwr, scope: &Scope) -> Result<FlwrHead, AsgError> {
         // Bind variables.
         let mut inner = scope.clone();
         let mut new_tables: Vec<String> = Vec::new();
@@ -169,7 +184,15 @@ impl<'a> Builder<'a> {
                 ucb.push(t.clone());
             }
         }
-        inner_scope.ucb = ucb.clone();
+        inner_scope.ucb = ucb;
+
+        Ok(FlwrHead { inner_scope, bindings, conditions, local_preds, agg_deps, gate_cols })
+    }
+
+    fn flwr(&mut self, parent: AsgNodeId, f: &Flwr, scope: &Scope) -> Result<(), AsgError> {
+        let FlwrHead { inner_scope, bindings, conditions, local_preds, agg_deps, gate_cols } =
+            self.flwr_head(f, scope)?;
+        let ucb = &inner_scope.ucb;
 
         // Nodes created from here on belong to this FLWR's output region:
         // remember the low-water mark so the `distinct` / aggregate-gate
@@ -402,57 +425,85 @@ enum Classified {
 }
 
 /// `UPBinding(v)`: the relations owning the leaf attributes in `v`'s
-/// subtree, ordered by `rel(DEF_V)` (§3.2's worked values).
+/// subtree, ordered by `rel(DEF_V)` (§3.2's worked values). One bottom-up
+/// pass: each node's relation set is its own leaf/aggregate relation merged
+/// with its children's sets, so no subtree is walked twice.
 fn compute_upbindings(asg: &mut ViewAsg) {
+    // Sets hold ranks in `rel(DEF_V)`; `names` keeps each relation's
+    // schema spelling, which is what the leaves carry.
     let order = asg.relations.clone();
-    let ids: Vec<AsgNodeId> = asg.iter().map(|n| n.id).collect();
-    for id in ids {
-        if !matches!(asg.node(id).kind, AsgNodeKind::Root | AsgNodeKind::Internal) {
-            continue;
+    let mut names: Vec<Option<String>> = vec![None; order.len()];
+    let mut below: Vec<Vec<usize>> = vec![Vec::new(); asg.len()];
+    let tour = asg.tour();
+    for &id in tour.order().iter().rev() {
+        let node = asg.node(id);
+        let mut set = Vec::new();
+        // Aggregate values construct subtree content from their scanned
+        // relation too.
+        for table in
+            node.leaf.iter().map(|l| &l.name.table).chain(node.agg.iter().map(|a| &a.table))
+        {
+            let rank = order
+                .iter()
+                .position(|o| o.eq_ignore_ascii_case(table))
+                .expect("rel(DEF_V) lists every relation the view binds or aggregates");
+            names[rank].get_or_insert_with(|| table.clone());
+            set.push(rank);
         }
-        let mut rels: Vec<String> = Vec::new();
-        for n in asg.subtree(id) {
-            if let Some(leaf) = &asg.node(n).leaf {
-                if !rels.iter().any(|r| r.eq_ignore_ascii_case(&leaf.name.table)) {
-                    rels.push(leaf.name.table.clone());
-                }
-            }
-            // Aggregate values construct subtree content from their scanned
-            // relation too.
-            if let Some(agg) = &asg.node(n).agg {
-                if !rels.iter().any(|r| r.eq_ignore_ascii_case(&agg.table)) {
-                    rels.push(agg.table.clone());
-                }
-            }
+        for c in &node.children {
+            set.append(&mut below[c.0]);
         }
-        rels.sort_by_key(|r| {
-            order.iter().position(|o| o.eq_ignore_ascii_case(r)).unwrap_or(usize::MAX)
-        });
-        asg.node_mut(id).upbinding = rels;
+        set.sort_unstable();
+        set.dedup();
+        if matches!(node.kind, AsgNodeKind::Root | AsgNodeKind::Internal) {
+            let rels = set.iter().map(|&r| names[r].clone().expect("ranked from a leaf")).collect();
+            asg.node_mut(id).upbinding = rels;
+        }
+        below[id.0] = set;
     }
 }
 
 /// The closure `v+` of a view-ASG node (§5.1.2): leaves of the subtree,
 /// with `*`/`+` children as starred groups and `1`/`?` children flattened.
 pub fn view_closure(asg: &ViewAsg, id: AsgNodeId) -> Closure {
-    let node = asg.node(id);
-    if let Some(leaf) = &node.leaf {
-        return Closure::leaf(&format!("{}.{}", leaf.name.table, leaf.name.column));
-    }
-    if let Some(agg) = &node.agg {
-        // An aggregate value is a pseudo-leaf that no base-side closure can
-        // ever contain, so any node whose closure includes it compares
-        // non-equivalent to its mapping closure — conservatively Dirty.
-        return Closure::leaf(&format!("agg:{agg}"));
-    }
-    let mut out = Closure::default();
-    for c in &node.children {
-        let cc = view_closure(asg, *c);
-        if asg.node(*c).card.is_starred() {
-            out.add_group(cc);
+    let tour = asg.tour();
+    subtree_closures(asg, tour.subtree(id), |_, _| {})
+}
+
+/// Compute the closure of every node in `preorder` (one whole subtree, in
+/// preorder) bottom-up in one pass: each child's closure is built once and
+/// then moved into its parent's. `visit` sees every node's closure once, as
+/// soon as it is complete; the subtree root's closure is returned.
+pub fn subtree_closures(
+    asg: &ViewAsg,
+    preorder: &[AsgNodeId],
+    mut visit: impl FnMut(AsgNodeId, &Closure),
+) -> Closure {
+    let mut memo: Vec<Option<Closure>> = vec![None; asg.len()];
+    for &id in preorder.iter().rev() {
+        let node = asg.node(id);
+        let closure = if let Some(leaf) = &node.leaf {
+            Closure::leaf(&format!("{}.{}", leaf.name.table, leaf.name.column))
+        } else if let Some(agg) = &node.agg {
+            // An aggregate value is a pseudo-leaf that no base-side closure
+            // can ever contain, so any node whose closure includes it
+            // compares non-equivalent to its mapping closure — conservatively
+            // Dirty.
+            Closure::leaf(&format!("agg:{agg}"))
         } else {
-            out.absorb(cc);
-        }
+            let mut out = Closure::default();
+            for c in &node.children {
+                let cc = memo[c.0].take().expect("children follow their parent in preorder");
+                if asg.node(*c).card.is_starred() {
+                    out.add_group(cc);
+                } else {
+                    out.absorb(cc);
+                }
+            }
+            out
+        };
+        visit(id, &closure);
+        memo[id.0] = Some(closure);
     }
-    out
+    memo[preorder[0].0].take().expect("the subtree root is visited last")
 }

@@ -390,30 +390,31 @@ impl ViewAsg {
         None
     }
 
-    /// Whether `node` lies in the subtree rooted at `of` (inclusive).
-    pub fn is_descendant(&self, node: AsgNodeId, of: AsgNodeId) -> bool {
-        let mut cur = Some(node);
-        while let Some(c) = cur {
-            if c == of {
-                return true;
-            }
-            cur = self.node(c).parent;
+    /// The preorder tour of the graph: one iterative pass that numbers
+    /// every node, so ancestor/descendant questions cost O(1) afterwards.
+    pub fn tour(&self) -> Tour {
+        let n = self.nodes.len();
+        let mut order = Vec::with_capacity(n);
+        let mut stack = vec![self.root];
+        while let Some(id) = stack.pop() {
+            order.push(id);
+            stack.extend(self.node(id).children.iter().rev().copied());
         }
-        false
+        let mut enter = vec![0; n];
+        for (i, id) in order.iter().enumerate() {
+            enter[id.0] = i;
+        }
+        // Subtree sizes bottom-up: children follow their parent in preorder.
+        let mut size = vec![1; n];
+        for id in order.iter().rev() {
+            if let Some(p) = self.node(*id).parent {
+                size[p.0] += size[id.0];
+            }
+        }
+        Tour { order, enter, size }
     }
 
-    /// Internal nodes that are neither `id`, nor in its subtree, nor on its
-    /// ancestor path — the `v'_C` candidates of Rules 2 and 3.
-    pub fn non_descendant_internals(&self, id: AsgNodeId) -> Vec<AsgNodeId> {
-        self.internal_nodes()
-            .map(|n| n.id)
-            .filter(|&other| {
-                other != id && !self.is_descendant(other, id) && !self.is_descendant(id, other)
-            })
-            .collect()
-    }
-
-    /// All node ids in the subtree rooted at `id` (inclusive, preorder).
+    /// All node ids in the subtree rooted at `id` (inclusive, breadth-first).
     pub fn subtree(&self, id: AsgNodeId) -> Vec<AsgNodeId> {
         let mut out = vec![id];
         let mut i = 0;
@@ -571,5 +572,42 @@ impl ViewAsg {
             out.push('\n');
         }
         out
+    }
+}
+
+/// Preorder numbering of a [`ViewAsg`] (an Euler tour's enter times):
+/// node `v`'s subtree is exactly the preorder interval
+/// `enter(v) .. enter(v) + size(v)`, so "is `a` in `b`'s subtree" is two
+/// integer comparisons instead of a walk up the parent chain.
+#[derive(Debug, Clone)]
+pub struct Tour {
+    order: Vec<AsgNodeId>,
+    enter: Vec<usize>,
+    size: Vec<usize>,
+}
+
+impl Tour {
+    /// Every node reachable from the root, in preorder (children in
+    /// document order). Reversed, it lists children before their parents.
+    pub fn order(&self) -> &[AsgNodeId] {
+        &self.order
+    }
+
+    /// The subtree rooted at `id` (inclusive), in preorder.
+    pub fn subtree(&self, id: AsgNodeId) -> &[AsgNodeId] {
+        let start = self.enter[id.0];
+        &self.order[start..start + self.size[id.0]]
+    }
+
+    /// Whether `node` lies in the subtree rooted at `of` (inclusive).
+    pub fn is_descendant(&self, node: AsgNodeId, of: AsgNodeId) -> bool {
+        let (n, o) = (self.enter[node.0], self.enter[of.0]);
+        o <= n && n < o + self.size[of.0]
+    }
+
+    /// Whether `a` and `b` are distinct and neither lies on the other's
+    /// root path: the "non-descendant" relation of STAR Rules 2 and 3.
+    pub fn unrelated(&self, a: AsgNodeId, b: AsgNodeId) -> bool {
+        !self.is_descendant(a, b) && !self.is_descendant(b, a)
     }
 }

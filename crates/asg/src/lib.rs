@@ -21,10 +21,10 @@ pub mod graph;
 pub mod readset;
 
 pub use base::{BaseAsg, BaseRel, FkEdge};
-pub use build::{build_view_asg, view_closure, AsgError};
+pub use build::{build_view_asg, subtree_closures, view_closure, AsgError};
 pub use closure::Closure;
 pub use graph::{
-    AggSource, AsgNode, AsgNodeId, AsgNodeKind, Card, JoinCond, LeafInfo, LocalPred, UContext,
-    UPoint, ViewAsg,
+    AggSource, AsgNode, AsgNodeId, AsgNodeKind, Card, JoinCond, LeafInfo, LocalPred, Tour,
+    UContext, UPoint, ViewAsg,
 };
 pub use readset::{DistinctRegion, ReadSets};

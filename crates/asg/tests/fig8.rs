@@ -233,7 +233,9 @@ fn mapping_closures_agree_with_base_asg() {
 fn non_descendants_exclude_subtree_and_ancestors() {
     let g = asg();
     let vc1 = g.resolve_path(&["book"])[0];
-    let others = g.non_descendant_internals(vc1);
+    let tour = g.tour();
+    let others: Vec<_> =
+        g.internal_nodes().map(|n| n.id).filter(|&v| tour.unrelated(v, vc1)).collect();
     // Only vC4 qualifies (vC2/vC3 are descendants; vR is the root, not vC).
     assert_eq!(others.len(), 1);
     assert_eq!(g.node(others[0]).tag, "publisher");

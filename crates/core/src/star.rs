@@ -9,7 +9,9 @@
 
 use std::collections::{HashMap, HashSet};
 
-use ufilter_asg::{view_closure, AsgNodeId, AsgNodeKind, BaseAsg, UContext, UPoint, ViewAsg};
+use ufilter_asg::{
+    subtree_closures, AsgNodeId, AsgNodeKind, BaseAsg, Tour, UContext, UPoint, ViewAsg,
+};
 use ufilter_rdb::DatabaseSchema;
 use ufilter_xquery::UpdateKind;
 
@@ -48,24 +50,34 @@ pub struct StarMarking {
 
 /// The STAR marking procedure (Algorithm 1): writes `(UPoint|UContext)`
 /// into `asg` and returns the side information.
+///
+/// Near-linear in ASG size: one preorder tour answers every ancestor test in
+/// O(1), `CR(v)` is computed once per internal node, Rule 1 spreads down the
+/// tour instead of re-walking each violating subtree, and the closures
+/// behind UPoint are built in one bottom-up pass. Rules 2 and 3 still
+/// compare regions pairwise, so views with many sibling FLWRs stay
+/// quadratic in their width; nesting depth no longer multiplies the cost.
 pub fn mark(asg: &mut ViewAsg, base: &BaseAsg, schema: &DatabaseSchema) -> StarMarking {
     let mut marking = StarMarking::default();
+    let tour = asg.tour();
     let internals: Vec<AsgNodeId> = asg.internal_nodes().map(|n| n.id).collect();
+    let mut cr: Vec<Vec<String>> = vec![Vec::new(); asg.len()];
+    for &c in &internals {
+        cr[c.0] = asg.cr(c);
+    }
 
     // ---- Rule 1: structural duplication via missing/improper joins -------
-    for &c in &internals {
+    // A violating node makes its whole subtree unsafe; preorder visits each
+    // parent before its children, so the flag spreads down in one pass.
+    let mut in_rule1 = vec![false; asg.len()];
+    for &c in tour.order() {
         let node = asg.node(c);
-        if !node.card.is_starred() {
-            continue;
-        }
-        if rule1_violated(asg, schema, c) {
-            for s in asg.subtree(c) {
-                if asg.node(s).kind == AsgNodeKind::Internal {
-                    marking.rule1.insert(s);
-                    asg.node_mut(s).ucontext =
-                        Some(UContext { safe_delete: false, safe_insert: false });
-                }
-            }
+        let internal = node.kind == AsgNodeKind::Internal;
+        in_rule1[c.0] = node.parent.is_some_and(|p| in_rule1[p.0])
+            || (internal && node.card.is_starred() && rule1_violated(asg, schema, c, &cr[c.0]));
+        if internal && in_rule1[c.0] {
+            marking.rule1.insert(c);
+            asg.node_mut(c).ucontext = Some(UContext { safe_delete: false, safe_insert: false });
         }
     }
 
@@ -74,53 +86,41 @@ pub fn mark(asg: &mut ViewAsg, base: &BaseAsg, schema: &DatabaseSchema) -> StarM
         if asg.node(c).ucontext.is_some_and(|u| !u.safe_delete) {
             continue; // already unsafe via Rule 1
         }
-        let cr = asg.cr(c);
-        let nds = asg.non_descendant_internals(c);
-        let anchor = cr.iter().find(|r| {
+        let anchor = cr[c.0].iter().find(|r| {
             let ext = schema.extend(r, Some(&asg.relations));
-            nds.iter().all(|v| {
-                !asg.node(*v)
-                    .ucbinding
-                    .iter()
-                    .any(|u| ext.iter().any(|e| e.eq_ignore_ascii_case(u)))
+            unrelated(&tour, &internals, c).all(|v| {
+                !asg.node(v).ucbinding.iter().any(|u| ext.iter().any(|e| e.eq_ignore_ascii_case(u)))
             })
         });
-        match anchor {
-            Some(r) => {
-                marking.delete_anchor.insert(c, r.clone());
-                let prev = asg.node(c).ucontext;
-                asg.node_mut(c).ucontext = Some(UContext {
-                    safe_delete: true,
-                    safe_insert: prev.is_none_or(|u| u.safe_insert),
-                });
-            }
-            None => {
-                let prev = asg.node(c).ucontext;
-                asg.node_mut(c).ucontext = Some(UContext {
-                    safe_delete: false,
-                    safe_insert: prev.is_none_or(|u| u.safe_insert),
-                });
-            }
+        let safe_delete = anchor.is_some();
+        if let Some(r) = anchor {
+            marking.delete_anchor.insert(c, r.clone());
         }
+        let prev = asg.node(c).ucontext;
+        asg.node_mut(c).ucontext =
+            Some(UContext { safe_delete, safe_insert: prev.is_none_or(|u| u.safe_insert) });
     }
 
     // ---- Rule 3: unsafe-insert via overlap with unsafe-delete nodes ------
+    // Only unsafe-delete nodes with a non-empty CR can contribute, so the
+    // pairwise scan shrinks to those (one per region, not per element).
+    let sources: Vec<AsgNodeId> = internals
+        .iter()
+        .copied()
+        .filter(|v| !asg.node(*v).ucontext.is_some_and(|u| u.safe_delete) && !cr[v.0].is_empty())
+        .collect();
     for &c in &internals {
         if marking.rule1.contains(&c) {
             continue; // already unsafe both ways
         }
-        let upb = asg.node(c).upbinding.clone();
+        let upb = &asg.node(c).upbinding;
         let mut shared: Vec<String> = Vec::new();
-        for v in asg.non_descendant_internals(c) {
-            let v_node = asg.node(v);
-            if v_node.ucontext.is_some_and(|u| u.safe_delete) {
-                continue; // (ii) of Rule 3 requires v' unsafe-delete
-            }
-            for r in asg.cr(v) {
-                if upb.iter().any(|u| u.eq_ignore_ascii_case(&r))
-                    && !shared.iter().any(|s| s.eq_ignore_ascii_case(&r))
+        for v in unrelated(&tour, &sources, c) {
+            for r in &cr[v.0] {
+                if upb.iter().any(|u| u.eq_ignore_ascii_case(r))
+                    && !shared.iter().any(|s| s.eq_ignore_ascii_case(r))
                 {
-                    shared.push(r);
+                    shared.push(r.clone());
                 }
             }
         }
@@ -133,13 +133,28 @@ pub fn mark(asg: &mut ViewAsg, base: &BaseAsg, schema: &DatabaseSchema) -> StarM
     }
 
     // ---- UPoint: clean iff CV ≡ CD (Definition 2) -------------------------
-    for &c in &internals {
-        let cv = view_closure(asg, c);
-        let cd = base.mapping_closure(&cv.all_leaves());
-        asg.node_mut(c).upoint = Some(if cv.equiv(&cd) { UPoint::Clean } else { UPoint::Dirty });
+    let mut upoints = Vec::with_capacity(internals.len());
+    subtree_closures(asg, tour.order(), |id, cv| {
+        if asg.node(id).kind == AsgNodeKind::Internal {
+            let cd = base.mapping_closure(&cv.all_leaves());
+            upoints.push((id, if cv.equiv(&cd) { UPoint::Clean } else { UPoint::Dirty }));
+        }
+    });
+    for (id, upoint) in upoints {
+        asg.node_mut(id).upoint = Some(upoint);
     }
 
     marking
+}
+
+/// The members of `candidates` (kept in their order) that are neither in
+/// `c`'s subtree nor on its root path: the `v'_C` of Rules 2 and 3.
+fn unrelated<'a>(
+    tour: &'a Tour,
+    candidates: &'a [AsgNodeId],
+    c: AsgNodeId,
+) -> impl Iterator<Item = AsgNodeId> + 'a {
+    candidates.iter().copied().filter(move |&v| tour.unrelated(v, c))
 }
 
 /// Rule 1 for one starred internal node: does its edge lack a *proper Join*?
@@ -152,9 +167,8 @@ pub fn mark(asg: &mut ViewAsg, base: &BaseAsg, schema: &DatabaseSchema) -> StarM
 /// (b) every *non-driving* relation bound at `c` must be joined through its
 ///     own unique identifier — otherwise one driving tuple pairs with many,
 ///     duplicating driving content across instances ("improper Join").
-fn rule1_violated(asg: &ViewAsg, schema: &DatabaseSchema, c: AsgNodeId) -> bool {
+fn rule1_violated(asg: &ViewAsg, schema: &DatabaseSchema, c: AsgNodeId, cr: &[String]) -> bool {
     let node = asg.node(c);
-    let cr = asg.cr(c);
     let parent = asg.internal_ancestor(c);
     let parent_is_root = parent.is_none_or(|p| asg.node(p).kind == AsgNodeKind::Root);
 
@@ -185,7 +199,7 @@ fn rule1_violated(asg: &ViewAsg, schema: &DatabaseSchema, c: AsgNodeId) -> bool 
 
     // (b) non-driving relations must join through their unique identifier.
     let driving = node.bindings.first().map(|(_, t)| t.clone());
-    for r in &cr {
+    for r in cr {
         if driving.as_deref().is_some_and(|d| d.eq_ignore_ascii_case(r)) {
             continue;
         }

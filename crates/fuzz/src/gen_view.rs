@@ -135,6 +135,41 @@ pub fn generate_aggregated(rng: &mut FuzzRng, schema: &GenSchema, idx: usize) ->
     generate_with(rng, schema, idx, true)
 }
 
+/// Deep/wide profile for the compile side (marking equivalence, compile
+/// scaling): 2–8 sibling root FLWRs (wide), each under a chain of up to 24
+/// static wrapper elements (deep), so STAR's Rule 1 sees non-root parents
+/// and Rules 2–3 see many unrelated regions. It draws from `rng` alone and
+/// leaves [`generate`]'s stream untouched.
+pub fn generate_deep_wide(rng: &mut FuzzRng, schema: &GenSchema, idx: usize) -> GenView {
+    let (mut varc, mut tagc) = (0usize, 0usize);
+    let mut content: Vec<Content> = Vec::new();
+    let mut regions: Vec<Region> = Vec::new();
+    for _ in 0..rng.int(2, 8) {
+        let table = &schema.tables[rng.index(schema.tables.len())];
+        let wrappers: Vec<String> = (0..rng.int(0, 24))
+            .map(|_| {
+                tagc += 1;
+                format!("w{tagc}")
+            })
+            .collect();
+        let (flwr, region) =
+            gen_flwr(rng, schema, table, wrappers.clone(), &mut varc, &mut tagc, 0, None);
+        let mut item = Content::Flwr(flwr);
+        for tag in wrappers.into_iter().rev() {
+            item = Content::Element(ElementCtor { tag, content: vec![item] });
+        }
+        content.push(item);
+        regions.push(region);
+    }
+    GenView {
+        name: format!("v{idx}"),
+        query: ViewQuery { root_tag: format!("V{idx}"), content },
+        regions,
+        aggregates: Vec::new(),
+        comment: false,
+    }
+}
+
 /// Per-FLWR knobs for the aggregated bias mode. `None` everywhere in the
 /// unbiased generator, whose RNG stream must stay byte-identical (corpus
 /// `.case` seeds replay through it).

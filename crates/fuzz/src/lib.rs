@@ -7,7 +7,9 @@
 //! validates accepted updates against the paper's Definition 1 rectangle,
 //! a routing-agreement stage ([`route_stage`]) holding the shared path
 //! trie to the linear-walk oracle's exact `Route`, greedy counterexample
-//! shrinking ([`shrink`]) and a replayable corpus format ([`corpus`]).
+//! shrinking ([`shrink`]), a replayable corpus format ([`corpus`]) and the
+//! plain STAR marking that cross-checks the production one
+//! ([`star_reference`]).
 //!
 //! Everything is a pure function of a `u64` seed; a failure message's seed
 //! reproduces the exact plan anywhere. See `docs/FUZZING.md` for the
@@ -22,6 +24,7 @@ pub mod oracle;
 pub mod rng;
 pub mod route_stage;
 pub mod shrink;
+pub mod star_reference;
 
 pub use oracle::{run_raw, run_seed, Divergence, OracleOptions, Plan, RawPlan, RunStats, Surface};
 pub use rng::FuzzRng;

@@ -142,6 +142,18 @@ impl ShutdownHandle {
     }
 }
 
+/// Socket options for an accepted connection.
+///
+/// - A short read timeout keeps idle connections responsive to shutdown
+///   without a dedicated poll thread.
+/// - `TCP_NODELAY`: a reply larger than the write buffer leaves in two
+///   writes, and with Nagle's algorithm on, the second waits for the
+///   client's delayed ACK (~40 ms on Linux) before it is sent.
+fn configure_socket(stream: &TcpStream) -> std::io::Result<()> {
+    stream.set_read_timeout(Some(Duration::from_millis(200)))?;
+    stream.set_nodelay(true)
+}
+
 struct Connection {
     catalog: Arc<ShardedCatalog>,
     pool: Arc<CheckPool>,
@@ -153,9 +165,7 @@ struct Connection {
 
 impl Connection {
     fn serve(self, stream: TcpStream) {
-        // Short read timeouts keep idle connections responsive to shutdown
-        // without a dedicated poll thread.
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
+        let _ = configure_socket(&stream);
         let Ok(reader_stream) = stream.try_clone() else { return };
         let mut reader = BufReader::new(reader_stream);
         let mut writer = BufWriter::new(stream);
@@ -678,6 +688,17 @@ mod tests {
         let addr = server.local_addr();
         let handle = std::thread::spawn(move || server.run().expect("serves"));
         (addr, handle)
+    }
+
+    #[test]
+    fn accepted_sockets_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).expect("connects");
+        let (accepted, _) = listener.accept().expect("accepts");
+        assert!(!accepted.nodelay().unwrap(), "Nagle is on by default");
+        configure_socket(&accepted).expect("socket options apply");
+        assert!(accepted.nodelay().unwrap());
+        assert_eq!(accepted.read_timeout().unwrap(), Some(Duration::from_millis(200)));
     }
 
     #[test]

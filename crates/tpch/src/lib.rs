@@ -14,5 +14,5 @@ pub mod workload;
 pub use fanout::{fanout_stream, fanout_updates, many_views};
 pub use gen::{generate, Scale};
 pub use schema::tpch_schema;
-pub use views::{updates, vfail_for, V_BUSH, V_FAIL, V_LINEAR, V_SUCCESS};
+pub use views::{deep_view, updates, vfail_for, wide_view, V_BUSH, V_FAIL, V_LINEAR, V_SUCCESS};
 pub use workload::{stream, stream_views, StreamSpec};

@@ -137,6 +137,33 @@ pub fn vfail_for(relation: &str) -> String {
     )
 }
 
+/// A customer view whose projection sits under `depth` nested constant
+/// elements: the compile-scaling views of `paper-figures marking` (the
+/// deep views the over-the-wire benchmark adds have the same shape).
+pub fn deep_view(depth: usize) -> String {
+    let open: String = (0..depth).map(|d| format!("<e{d}>")).collect();
+    let close: String = (0..depth).rev().map(|d| format!("</e{d}>")).collect();
+    format!(
+        "<Vdeep>\nFOR $c IN document(\"default.xml\")/customer/row\nWHERE $c/c_custkey > -1\n\
+         RETURN {{{open}\n$c/c_custkey, $c/c_name\n{close}}}\n</Vdeep>"
+    )
+}
+
+/// `width` sibling customer FLWRs under the root, each a separate region
+/// over the same relation: the wide compile-scaling views, where STAR's
+/// Rules 2 and 3 compare every region with every other.
+pub fn wide_view(width: usize) -> String {
+    let flwrs: Vec<String> = (0..width)
+        .map(|i| {
+            format!(
+                "FOR $c{i} IN document(\"default.xml\")/customer/row\n\
+                 WHERE $c{i}/c_custkey > {i}\nRETURN {{<c{i}>$c{i}/c_custkey, $c{i}/c_name</c{i}>}}"
+            )
+        })
+        .collect();
+    format!("<Vwide>\n{}\n</Vwide>", flwrs.join(",\n"))
+}
+
 /// Update texts for the per-level deletes of Fig. 13 (one element of each
 /// nesting level of Vsuccess/Vlinear) and the experiment inserts.
 pub mod updates {

@@ -21,6 +21,15 @@ pub mod node;
 pub mod parse;
 pub mod serialize;
 
+/// Deepest nesting the parsers accept: elements of an XML fragment here,
+/// element constructors and FLWR expressions of a view query in
+/// `ufilter-xquery`. Both parsers are recursive descent, so stack use grows
+/// with nesting; inputs come from clients over the wire, and a 2 MiB
+/// connection or worker thread overflows (aborting the whole process)
+/// somewhere past 1000 levels in debug builds. Deeper input is a typed
+/// parse error instead.
+pub const MAX_NESTING: usize = 512;
+
 pub use default_view::default_view;
 pub use node::{Document, Node, NodeId, NodeKind};
 pub use parse::{parse, parse_with, ParseOptions, XmlParseError};

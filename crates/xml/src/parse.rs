@@ -5,6 +5,7 @@
 //! default* (strictness), or tolerated via [`ParseOptions::ignore_attributes`].
 
 use crate::node::{Document, NodeId};
+use crate::MAX_NESTING;
 
 /// Parser configuration.
 #[derive(Debug, Clone, Copy, Default)]
@@ -41,7 +42,7 @@ pub fn parse_prefix(input: &str) -> Result<(Document, usize), XmlParseError> {
     let mut doc = Document::new(name.clone());
     let root = doc.root();
     if !self_closing {
-        p.content(&mut doc, root, &name)?;
+        p.content(&mut doc, root, &name, 1)?;
     }
     Ok((doc, p.pos))
 }
@@ -53,7 +54,7 @@ pub fn parse_with(input: &str, opts: ParseOptions) -> Result<Document, XmlParseE
     let mut doc = Document::new(name.clone());
     let root = doc.root();
     if !self_closing {
-        p.content(&mut doc, root, &name)?;
+        p.content(&mut doc, root, &name, 1)?;
     }
     p.skip_misc();
     if p.pos < p.chars.len() {
@@ -172,11 +173,14 @@ impl P {
         Ok((name, self_closing))
     }
 
+    /// Parse the content of `parent`, the `depth`-th nested element (the
+    /// document element is depth 1), through its closing tag.
     fn content(
         &mut self,
         doc: &mut Document,
         parent: NodeId,
         parent_name: &str,
+        depth: usize,
     ) -> Result<(), XmlParseError> {
         let mut text = String::new();
         loop {
@@ -208,11 +212,16 @@ impl P {
                         self.pos += 1;
                         return Ok(());
                     }
+                    if depth == MAX_NESTING {
+                        return Err(
+                            self.err(format!("elements nested deeper than {MAX_NESTING} levels"))
+                        );
+                    }
                     let (name, self_closing) = self.open_tag()?;
                     let el = doc.new_element(name.clone());
                     doc.append_child(parent, el);
                     if !self_closing {
-                        self.content(doc, el, &name)?;
+                        self.content(doc, el, &name, depth + 1)?;
                     }
                 }
                 Some('&') => {
@@ -319,6 +328,18 @@ mod tests {
             parse_with("<a id=\"1\"><b k='v'>t</b></a>", ParseOptions { ignore_attributes: true })
                 .unwrap();
         assert_eq!(d.text_content(d.root()), "t");
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let nested = |n: usize| format!("{}{}", "<a>".repeat(n), "</a>".repeat(n));
+        assert!(parse(&nested(MAX_NESTING)).is_ok());
+        assert!(parse_prefix(&nested(MAX_NESTING)).is_ok());
+        for n in [MAX_NESTING + 1, 100_000] {
+            let err = parse(&nested(n)).unwrap_err();
+            assert!(err.message.contains("nested deeper than 512"), "{err}");
+            assert!(parse_prefix(&nested(n)).is_err());
+        }
     }
 
     #[test]

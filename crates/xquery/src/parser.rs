@@ -12,8 +12,12 @@
 //! pred      := "("? operand cmp operand ")"?
 //! operand   := "$"var ("/" step)* | literal
 //! ```
+//!
+//! Elements and FLWR bodies nest at most [`MAX_NESTING`] levels below the
+//! root tag; deeper input is a [`ParseError`], never a stack overflow.
 
 use ufilter_rdb::{CmpOp, Value};
+use ufilter_xml::MAX_NESTING;
 
 use crate::ast::*;
 use crate::lexer::{lex, Tok};
@@ -35,12 +39,31 @@ impl std::error::Error for ParseError {}
 pub(crate) struct P {
     pub toks: Vec<(Tok, usize)>,
     pub pos: usize,
+    /// Element constructors and FLWR bodies currently open below the root.
+    depth: usize,
 }
 
 impl P {
     pub fn new(input: &str) -> Result<P, ParseError> {
         let toks = lex(input).map_err(|e| ParseError { message: e.message, offset: e.offset })?;
-        Ok(P { toks, pos: 0 })
+        Ok(P { toks, pos: 0, depth: 0 })
+    }
+
+    /// Parse one nested element or FLWR body with `inner`, refusing to go
+    /// deeper than [`MAX_NESTING`] levels below the root tag.
+    fn nested<T>(
+        &mut self,
+        inner: impl FnOnce(&mut P) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!(
+                "elements and FLWR expressions nested deeper than {MAX_NESTING} levels"
+            )));
+        }
+        self.depth += 1;
+        let out = inner(self)?;
+        self.depth -= 1;
+        Ok(out)
     }
 
     pub fn err(&self, m: impl Into<String>) -> ParseError {
@@ -254,7 +277,7 @@ fn content_item(p: &mut P) -> Result<Content, ParseError> {
     match p.peek().clone() {
         Tok::TagOpen(t) => {
             p.bump();
-            let content = content_until_close(p, &t)?;
+            let content = p.nested(|p| content_until_close(p, &t))?;
             Ok(Content::Element(ElementCtor { tag: t, content }))
         }
         Tok::Var(v) => {
@@ -267,14 +290,16 @@ fn content_item(p: &mut P) -> Result<Content, ParseError> {
         }
         Tok::Ident(ref s) if s.eq_ignore_ascii_case("FOR") => {
             p.bump();
-            Ok(Content::Flwr(flwr(p)?))
+            Ok(Content::Flwr(p.nested(flwr)?))
         }
         other => Err(p.err(format!("unexpected token in element content: {other:?}"))),
     }
 }
 
-/// Parse a FLWR body; the FOR keyword is already consumed.
-fn flwr(p: &mut P) -> Result<Flwr, ParseError> {
+/// The FOR bindings and WHERE predicates of a FLWR. Kept out of [`flwr`]
+/// so the recursion through nested RETURN bodies carries a small stack
+/// frame per level.
+fn flwr_head(p: &mut P) -> Result<(Vec<ForBinding>, Vec<Predicate>), ParseError> {
     let mut bindings = Vec::new();
     loop {
         let var = match p.bump() {
@@ -320,6 +345,12 @@ fn flwr(p: &mut P) -> Result<Flwr, ParseError> {
         }
     }
     let predicates = if p.eat_kw("WHERE") { p.predicates()? } else { Vec::new() };
+    Ok((bindings, predicates))
+}
+
+/// Parse a FLWR body; the FOR keyword is already consumed.
+fn flwr(p: &mut P) -> Result<Flwr, ParseError> {
+    let (bindings, predicates) = flwr_head(p)?;
     p.expect_kw("RETURN")?;
     p.expect_sym("{")?;
     let mut ret = Vec::new();
@@ -339,6 +370,31 @@ fn flwr(p: &mut P) -> Result<Flwr, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A view nested `levels` deep below its root tag: one FLWR, then
+    /// `levels - 1` constant elements around a projection.
+    fn nested_elements(levels: usize) -> String {
+        let open: String = (1..levels).map(|d| format!("<e{d}>")).collect();
+        let close: String = (1..levels).rev().map(|d| format!("</e{d}>")).collect();
+        format!("<V>FOR $b IN document(\"d\")/book/row RETURN {{{open}$b/bookid{close}}}</V>")
+    }
+
+    /// `levels` FLWR expressions, each the RETURN body of the previous one.
+    fn nested_flwrs(levels: usize) -> String {
+        let open = "FOR $b IN document(\"d\")/book/row RETURN {".repeat(levels);
+        format!("<V>{open}$b/bookid{}</V>", "}".repeat(levels))
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        for nested in [nested_elements, nested_flwrs] {
+            assert!(parse_view_query(&nested(MAX_NESTING)).is_ok());
+            for levels in [MAX_NESTING + 1, 100_000] {
+                let err = parse_view_query(&nested(levels)).unwrap_err();
+                assert!(err.message.contains("nested deeper than 512 levels"), "{err}");
+            }
+        }
+    }
 
     /// The BookView query of Fig. 3(a), verbatim modulo whitespace.
     pub const BOOK_VIEW: &str = r#"
