@@ -718,21 +718,90 @@ fn many_signatures(n: usize, scale: Scale) -> Vec<(String, ufilter_route::ViewSi
         .collect()
 }
 
-/// Route-only scaling of the shared path trie ([`ufilter_route::TrieIndex`])
-/// against the legacy per-view linear walk ([`ufilter_route::RelevanceIndex`])
-/// at 10^3–10^5 views: same signatures, same update footprints, candidate
-/// sets asserted equal per update. Reports the trie's resident memory
-/// footprint next to the speedup — the routing cost is what must scale
-/// with the update footprint, not the catalog size.
-pub fn route_trie_scale(len: usize, reps: usize, sweep: &[usize]) -> Table {
-    use ufilter_route::{Footprint, RelevanceIndex, TrieIndex};
+/// Fan-out footprints of a seed-42 `len`-update stream over `scale`.
+fn fanout_footprints(len: usize, scale: Scale) -> Vec<ufilter_route::Footprint> {
+    use ufilter_route::Footprint;
     use ufilter_xquery::parse_update;
-
-    let scale = Scale::tiny();
-    let footprints: Vec<Footprint> = fanout_stream(len, scale, 42)
+    fanout_stream(len, scale, 42)
         .iter()
         .map(|u| Footprint::of(&parse_update(u).expect("fan-out update parses")))
+        .collect()
+}
+
+/// Index `sigs` into a fresh trie.
+fn trie_of(sigs: &[(String, ufilter_route::ViewSignature)]) -> ufilter_route::TrieIndex {
+    let mut trie = ufilter_route::TrieIndex::new();
+    for (name, sig) in sigs {
+        trie.insert_signature(name, sig.clone());
+    }
+    trie
+}
+
+/// Index `sigs` into a fresh linear oracle.
+fn linear_of(sigs: &[(String, ufilter_route::ViewSignature)]) -> ufilter_route::RelevanceIndex {
+    let mut linear = ufilter_route::RelevanceIndex::new();
+    for (name, sig) in sigs {
+        linear.insert_signature(name, sig.clone());
+    }
+    linear
+}
+
+/// Demand the full `Route` — candidates, per-level pruning counters and
+/// the fallback flag — from the trie equal the linear walk's on every
+/// footprint. Returns the total views pruned.
+fn assert_routes_equal(
+    trie: &ufilter_route::TrieIndex,
+    linear: &ufilter_route::RelevanceIndex,
+    footprints: &[ufilter_route::Footprint],
+) -> usize {
+    footprints
+        .iter()
+        .map(|fp| {
+            let t = trie.route_footprint(fp);
+            assert_eq!(t, linear.route_footprint(fp), "trie and linear routes diverge");
+            t.pruned()
+        })
+        .sum()
+}
+
+/// Median wall time of routing `footprints` through `trie` `rounds` times,
+/// per update, in microseconds.
+fn trie_route_us(
+    trie: &ufilter_route::TrieIndex,
+    footprints: &[ufilter_route::Footprint],
+    rounds: usize,
+    reps: usize,
+) -> f64 {
+    let mut samples: Vec<f64> = (0..reps.max(1))
+        .map(|_| {
+            let t = Instant::now();
+            let mut total = 0usize;
+            for _ in 0..rounds {
+                for fp in footprints {
+                    total += trie.route_footprint(fp).candidates.len();
+                }
+            }
+            std::hint::black_box(total);
+            t.elapsed().as_secs_f64() * 1e6 / (rounds * footprints.len()).max(1) as f64
+        })
         .collect();
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// Route-only scaling of the shared path trie ([`ufilter_route::TrieIndex`])
+/// against the legacy per-view linear walk ([`ufilter_route::RelevanceIndex`])
+/// at 10^3–10^5 views: same signatures, same update footprints, full
+/// `Route`s (candidates and per-level counters) asserted equal per update.
+/// Reports the trie's per-update route time (the stream routed 40 times),
+/// its structural class count and resident memory next to the speedup —
+/// the routing cost must scale with the update footprint and the number
+/// of classes, not the catalog size.
+pub fn route_trie_scale(len: usize, reps: usize, sweep: &[usize]) -> Table {
+    use ufilter_route::Footprint;
+
+    let scale = Scale::tiny();
+    let footprints = fanout_footprints(len, scale);
     let median = |mut samples: Vec<Duration>| -> Duration {
         samples.sort();
         samples[samples.len() / 2]
@@ -740,23 +809,8 @@ pub fn route_trie_scale(len: usize, reps: usize, sweep: &[usize]) -> Table {
     let mut rows = Vec::new();
     for &n in sweep {
         let sigs = many_signatures(n, scale);
-        let mut trie = TrieIndex::new();
-        let mut legacy = RelevanceIndex::new();
-        for (name, sig) in &sigs {
-            trie.insert_signature(name, sig.clone());
-            legacy.insert_signature(name, sig.clone());
-        }
-
-        // Equal candidate sets: the trie may prune at a different level than
-        // the linear walk, but the surviving views must be identical.
-        let mut pruned = 0usize;
-        for fp in &footprints {
-            let t = trie.route_footprint(fp);
-            let l = legacy.route_footprint(fp);
-            assert_eq!(t.candidates, l.candidates, "trie and linear candidates diverge at n={n}");
-            assert_eq!(t.fallback, l.fallback, "fallback divergence at n={n}");
-            pruned += t.pruned();
-        }
+        let (trie, legacy) = (trie_of(&sigs), linear_of(&sigs));
+        let pruned = assert_routes_equal(&trie, &legacy, &footprints);
 
         let time_route = |route: &dyn Fn(&Footprint) -> usize| -> Duration {
             median(
@@ -779,9 +833,11 @@ pub fn route_trie_scale(len: usize, reps: usize, sweep: &[usize]) -> Table {
         rows.push(vec![
             n.to_string(),
             ms(t_trie),
+            format!("{:.2}", trie_route_us(&trie, &footprints, 40, reps)),
             ms(t_legacy),
             format!("{:.2}x", t_legacy.as_secs_f64() / t_trie.as_secs_f64().max(1e-9)),
             format!("{:.4}", pruned as f64 / (len * n).max(1) as f64),
+            stats.classes.to_string(),
             stats.nodes.to_string(),
             stats.postings.to_string(),
             format!("{:.1}", stats.bytes as f64 / 1024.0 / 1024.0),
@@ -791,14 +847,16 @@ pub fn route_trie_scale(len: usize, reps: usize, sweep: &[usize]) -> Table {
         title: format!(
             "Route-only scaling: shared path trie vs legacy linear walk \
              ({len}-update TPC-H fan-out stream, signature-only catalog, \
-             candidate sets asserted equal per update)"
+             routes asserted equal per update)"
         ),
         headers: vec![
             "views (N)".into(),
             "trie (ms)".into(),
+            "trie (us/update)".into(),
             "linear (ms)".into(),
             "speedup".into(),
             "pruning ratio".into(),
+            "classes".into(),
             "trie nodes".into(),
             "trie postings".into(),
             "trie MiB".into(),
@@ -809,55 +867,56 @@ pub fn route_trie_scale(len: usize, reps: usize, sweep: &[usize]) -> Table {
 
 /// Bounded route-scale smoke for CI (`paper-figures routesmoke`): build an
 /// `n`-view signature catalog into the trie and the legacy index, route a
-/// `len`-update stream through both, panic (non-zero exit) on any candidate
-/// divergence, and print one machine-parsable line.
+/// `len`-update stream through both, and panic (non-zero exit) on any
+/// `Route` divergence. Then time a 2000-update stream through tries of
+/// 1000 and 10,000 views; `route_ratio` is the per-update time at 10k over
+/// the time at 1k (flat routing keeps it near 1). Prints one
+/// machine-parsable line.
 pub fn route_smoke(n: usize, len: usize) -> String {
-    use ufilter_route::{Footprint, RelevanceIndex, TrieIndex};
-    use ufilter_xquery::parse_update;
-
     let scale = Scale::tiny();
     let sigs = many_signatures(n, scale);
-    let mut trie = TrieIndex::new();
-    let mut legacy = RelevanceIndex::new();
     let t_build = Instant::now();
-    for (name, sig) in &sigs {
-        trie.insert_signature(name, sig.clone());
-    }
+    let trie = trie_of(&sigs);
     let build_ms = t_build.elapsed().as_secs_f64() * 1e3;
-    for (name, sig) in &sigs {
-        legacy.insert_signature(name, sig.clone());
-    }
+    let legacy = linear_of(&sigs);
 
-    let footprints: Vec<Footprint> = fanout_stream(len, scale, 42)
-        .iter()
-        .map(|u| Footprint::of(&parse_update(u).expect("fan-out update parses")))
-        .collect();
+    let footprints = fanout_footprints(len, scale);
     let t_route = Instant::now();
     let mut candidates = 0usize;
     for fp in &footprints {
         candidates += trie.route_footprint(fp).candidates.len();
     }
     let route_ms = t_route.elapsed().as_secs_f64() * 1e3;
-    for fp in &footprints {
-        assert_eq!(
-            trie.route_footprint(fp).candidates,
-            legacy.route_footprint(fp).candidates,
-            "trie and linear candidates diverge"
-        );
-    }
+    assert_routes_equal(&trie, &legacy, &footprints);
+
+    let stream = fanout_footprints(2000, scale);
+    let per_update_us = |views: usize| -> f64 {
+        if views == n {
+            trie_route_us(&trie, &stream, 1, 5)
+        } else {
+            trie_route_us(&trie_of(&many_signatures(views, scale)), &stream, 1, 5)
+        }
+    };
+    let (us_1k, us_10k) = (per_update_us(1_000), per_update_us(10_000));
     let stats = trie.stats();
     format!(
         "route-smoke OK n={n} updates={len} candidates={candidates} \
-         build_ms={build_ms:.1} route_ms={route_ms:.1} trie_nodes={} \
-         trie_postings={} trie_bytes={}\n",
-        stats.nodes, stats.postings, stats.bytes
+         build_ms={build_ms:.1} route_ms={route_ms:.1} trie_classes={} trie_nodes={} \
+         trie_postings={} trie_bytes={} route_us_1k={us_1k:.2} route_us_10k={us_10k:.2} \
+         route_ratio={:.2}\n",
+        stats.classes,
+        stats.nodes,
+        stats.postings,
+        stats.bytes,
+        us_10k / us_1k.max(1e-9)
     )
 }
 
 /// JSON snapshot behind `paper-figures route` → `BENCH_route.json`: the
 /// end-to-end check-all fan-out at N = 10 / 100 / 1000 views (index vs
 /// brute force), plus the route-only trie-vs-linear sweep at
-/// N = 10^3 / 10^4 / 10^5 with the trie's memory footprint.
+/// N = 10^3 / 10^4 / 10^5 with the trie's per-update time, class count
+/// and memory footprint.
 pub fn route_json(reps: usize) -> String {
     let tables = [
         route_fanout(50, reps, &[10, 100, 1000]),
@@ -867,9 +926,10 @@ pub fn route_json(reps: usize) -> String {
     format!(
         "{{\n  \"schema_version\": 1,\n  \"note\": \"wall-clock medians; the check-all table \
          pins the end-to-end fan-out (index must beat brute force at N=1000); the route-only \
-         table pins the shared path trie against the legacy linear walk at equal candidate \
-         sets (asserted per update) and must show >=10x at N=100000, with the trie's resident \
-         footprint in MiB; outcomes on candidates are pinned identical by \
+         table pins the shared path trie against the legacy linear walk at equal routes \
+         (asserted per update) and must show >=10x at N=100000, with the trie's per-update \
+         route time flat (within 3x) from N=1000 to N=100000, its structural class count and \
+         resident footprint in MiB; outcomes on candidates are pinned identical by \
          tests/route_soundness.rs\",\n  \
          \"reps\": {reps},\n  \"tables\": [\n    {body}\n  ]\n}}\n"
     )

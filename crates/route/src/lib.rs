@@ -12,10 +12,11 @@
 //! paper's ASG artifacts.
 //!
 //! Two implementations share the signature/footprint contract: the
-//! [`TrieIndex`] (production — every view's signature merged into one
-//! shared path trie with compact integer postings, built for 10^5–10^6-view
-//! catalogs) and the original per-view [`RelevanceIndex`] (retained as the
-//! linear-walk differential oracle). Both route to identical [`Route`]s;
+//! [`TrieIndex`] (production — views grouped into structural classes that
+//! share one path trie with compact integer postings, so routing cost
+//! follows the number of distinct view shapes, not views; built for
+//! 10^5–10^6-view catalogs) and the original per-view [`RelevanceIndex`]
+//! (retained as the linear-walk differential oracle). Both route to identical [`Route`]s;
 //! the workspace's `tests/route_soundness.rs` and the `ufilter-fuzz`
 //! routing stage hold them to full equality on randomized and
 //! grammar-fuzzed streams with add/drop churn.

@@ -3,10 +3,11 @@
 //! intersection/union, and the resident gauges the service `STATS` verb
 //! reports.
 //!
-//! Everything routing touches per request is a slice of `u32` view ids —
-//! 4 bytes per posting entry instead of an owned `String` per (tag, view)
-//! pair — so intersecting the update footprint against a 10^5-view catalog
-//! moves machine words, not string comparisons.
+//! Everything routing touches per request is a slice of `u32` ids — class
+//! ids on trie nodes, view ids inside a class — 4 bytes per posting entry
+//! instead of an owned `String` per (tag, view) pair, so intersecting the
+//! update footprint against a 10^5-view catalog moves machine words, not
+//! string comparisons.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -68,13 +69,6 @@ impl ViewInterner {
         self.by_name.keys().cloned().collect()
     }
 
-    /// All live ids, ascending by id (the order posting lists use).
-    pub(crate) fn ids_sorted(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = self.by_name.values().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
     /// Rough resident bytes: map nodes + name storage + slot table.
     pub(crate) fn approx_bytes(&self) -> usize {
         let strings: usize = self.by_name.keys().map(|k| 2 * k.capacity() + 64).sum();
@@ -111,8 +105,8 @@ impl TagInterner {
     }
 }
 
-/// A sorted list of view ids — the postings attached to every trie node,
-/// relation, and predicate target.
+/// A sorted list of `u32` ids — class ids on trie nodes, view ids on
+/// class members, relations and predicate targets.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct Postings(Vec<u32>);
 
@@ -210,8 +204,12 @@ pub struct IndexStats {
     /// Live trie nodes (anchored root children, floating tag nodes, edge
     /// nodes).
     pub nodes: usize,
-    /// Total posting entries across trie nodes, relation postings and
-    /// predicate targets.
+    /// Live structural classes: groups of views whose signatures agree on
+    /// everything levels 1–2 test. Routing cost scales with this count,
+    /// not with the number of views.
+    pub classes: usize,
+    /// Total posting entries across trie nodes (class ids), class members,
+    /// relation postings and predicate targets.
     pub postings: usize,
     /// Approximate resident bytes of the whole index (postings, nodes,
     /// interners, deduplicated predicate targets).
@@ -227,6 +225,7 @@ impl IndexStats {
     /// `IndexStats` per shard).
     pub fn merge(&mut self, other: &IndexStats) {
         self.nodes += other.nodes;
+        self.classes += other.classes;
         self.postings += other.postings;
         self.bytes += other.bytes;
         self.inserts += other.inserts;

@@ -1,6 +1,24 @@
 //! The shared path-trie routing index: every registered view's signature
 //! merged into **one** structure, so routing cost scales with the update's
-//! footprint instead of the catalog's size.
+//! footprint and the number of distinct view *shapes*, not the catalog's
+//! size.
+//!
+//! ## Structural classes
+//!
+//! Levels 1–2 only look at a signature's structure: its vocabulary, its
+//! parent→child edges and its root children. Level 3 additionally needs
+//! to know which tags carry predicate targets at all. Views that agree on
+//! all four — the interned, sorted [`ClassKey`] `(root_children, tokens,
+//! edges, leaf-domain tag set)` — get exactly the same level-1/2 answer
+//! for every footprint, so they share one **class**. A partition family
+//! of 50k views that differ only in their range bounds is one class; the
+//! TPC-H fan-out catalog of any size is three.
+//!
+//! Each class holds its sorted `members` (view ids) and, per leaf-domain
+//! tag, a [`PredIndex`] over the members' predicate targets. A tag of the
+//! class's vocabulary without a leaf-domain entry is a pass-through: it
+//! has no `PredIndex`, and a predicate on it admits every member, exactly
+//! as the per-view test does.
 //!
 //! ## Node layout
 //!
@@ -9,27 +27,27 @@
 //! requirements a [`Footprint`] can carry):
 //!
 //! * **Anchored branch** — one depth-1 node per distinct tag that is a
-//!   direct child of some view's root. Its postings answer the footprint's
-//!   `root_children` requirements (first steps of `document(…)` bindings).
+//!   direct child of some class's root. Its postings answer the
+//!   footprint's `root_children` requirements (first steps of
+//!   `document(…)` bindings).
 //! * **Floating branch** (`//tag`) — one depth-1 node per distinct tag in
-//!   any view's vocabulary; its postings answer token requirements
+//!   any class's vocabulary; its postings answer token requirements
 //!   (level 1). Each floating node's children are the tags observed as its
 //!   ASG children; those depth-2 nodes' postings answer `(parent, child)`
 //!   edge requirements (level 2).
 //!
-//! Every node carries a sorted `u32` posting list of view ids
-//! ([`crate::postings`]), so a route is a handful of posting
-//! intersections — the update names 3 tags and 2 edges, the router merges
-//! 5 lists — regardless of whether 10² or 10⁶ views are registered.
+//! Every node carries a sorted `u32` posting list of **class** ids
+//! ([`crate::postings`]). Levels 1–2 intersect a handful of short lists;
+//! the pruning counters are sums of the member counts of the classes each
+//! level drops.
 //!
-//! ## Predicate level: deduplicated targets + interval pre-filter
+//! ## Predicate level: per class, deduplicated targets + interval stab
 //!
-//! Level 3 is where a linear index spends its time: every surviving view
-//! clones and re-constrains a [`Domain`] per predicate. The trie instead
-//! keeps, per tag, the **distinct** `(type, domain, hint)` resolution
-//! targets across all views (deduplicated by structural key, each with its
-//! own postings — partition families collapse to one target per
-//! partition, unconstrained columns collapse to a single shared target).
+//! Level 3 runs only inside the classes levels 1–2 kept. Within a class,
+//! each leaf-domain tag keeps the **distinct** `(type, domain, hint)`
+//! resolution targets of its members (deduplicated by structural key, each
+//! with its own member postings — a partition family collapses to one
+//! target per partition, an unconstrained column to one shared target).
 //! Targets whose domain is a pure interval with numeric endpoints are also
 //! entered into sorted endpoint arrays, so an equality predicate finds the
 //! few stabbed intervals by binary search and only those run the real
@@ -39,28 +57,44 @@
 //! only when the widened interval proves the constrained domain empty —
 //! so the surviving set is bit-identical to evaluating every target.
 //!
+//! A class's survivors start from the first predicate's allowed list
+//! (borrowed when one target admits, never re-sorted) and shrink by
+//! intersection; a class no predicate constrains contributes its members.
+//!
+//! ## Cost model
+//!
+//! A route costs O(classes touched + stabbed targets + output): levels
+//! 1–2 merge class-id lists, level 3 binary-searches the surviving
+//! classes' endpoint arrays, and only the candidates themselves are
+//! copied and named. None of it grows with the number of views that share
+//! a class.
+//!
 //! ## Incremental remove
 //!
-//! Removal is the mirror of insertion, O(size of the removed view's own
-//! signature): each posting entry is deleted by binary search, trie nodes
-//! whose postings and children both emptied are unlinked and their ids
-//! recycled, and predicate targets are freed when their postings empty.
-//! The per-tag endpoint arrays are *not* rebuilt inline — mutation just
-//! drops the derived arrays and the next route rebuilds them once (an
-//! add/drop burst pays one O(m log m) rebuild, not one per mutation).
+//! Removal is the mirror of insertion: the view leaves its class's members
+//! and its predicate targets' postings (targets whose postings empty are
+//! freed). When the class itself empties, its id is unposted from its trie
+//! nodes, nodes whose postings and children both emptied are unlinked (the
+//! cascade walks up the parent chain) and the class id is recycled. The
+//! per-tag endpoint arrays are *not* rebuilt inline — mutation just drops
+//! the derived arrays and the next route rebuilds them once (an add/drop
+//! burst pays one O(m log m) rebuild, not one per mutation).
 //!
 //! ## Soundness
 //!
 //! The trie prunes exactly when the per-view
-//! [`RelevanceIndex`](crate::RelevanceIndex) test would: level 1/2
-//! postings are set-decompositions of the same signature fields, and level
-//! 3 evaluates the same domains with the same typing and the same
-//! satisfiability hint. `TrieIndex::route` and the per-view `route`
-//! therefore return identical candidate sets and identical per-level
-//! pruning counters — a property the workspace holds
-//! with differential tests (`tests/route_soundness.rs`) and a fuzz oracle
-//! (`ufilter-fuzz`).
+//! [`RelevanceIndex`](crate::RelevanceIndex) test would. Level 1/2 postings
+//! are set-decompositions of the same signature fields, and every member of
+//! a class has those fields equal, so a class passes or fails levels 1–2
+//! as each of its members would. Level 3 evaluates, per member, the same
+//! domains with the same typing and the same satisfiability hint, and
+//! passes a member whose signature has no entry for the predicate's tag.
+//! `TrieIndex::route` and the per-view `route` therefore return identical
+//! candidate sets and identical per-level pruning counters — a property the
+//! workspace holds with differential tests (`tests/route_soundness.rs`) and
+//! a fuzz oracle (`ufilter-fuzz`).
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, RwLock};
 
@@ -85,12 +119,13 @@ struct TrieNode {
     parent: u32,
     tag: u32,
     children: HashMap<u32, u32>,
+    /// Class ids.
     postings: Postings,
     live: bool,
 }
 
 /// One deduplicated predicate resolution target: the shared
-/// `(type, domain, hint)` triple plus the views that carry it.
+/// `(type, domain, hint)` triple plus the class members that carry it.
 #[derive(Debug)]
 struct PredTarget {
     ty: DataType,
@@ -142,14 +177,11 @@ struct Derived {
     groups: Vec<Group>,
 }
 
-/// The level-3 index of one tag: deduplicated targets, the pass-through
-/// postings, and the lazily derived endpoint arrays.
+/// The level-3 index of one leaf-domain tag of one class: deduplicated
+/// targets and the lazily derived endpoint arrays. A tag with no targets
+/// (its nodes never reach a value) admits no member.
 #[derive(Debug, Default)]
 struct PredIndex {
-    /// Views whose vocabulary contains the tag but whose signature carries
-    /// **no** `leaf_domains` entry for it — the legacy index passes those
-    /// unconditionally, so the trie must too.
-    pass: Postings,
     slots: Vec<Option<PredTarget>>,
     free: Vec<u32>,
     by_key: HashMap<String, u32>,
@@ -188,10 +220,6 @@ impl PredIndex {
 
     fn target(&self, slot: u32) -> &PredTarget {
         self.slots[slot as usize].as_ref().expect("derived arrays only hold live slots")
-    }
-
-    fn is_empty(&self) -> bool {
-        self.pass.is_empty() && self.by_key.is_empty()
     }
 
     fn invalidate(&mut self) {
@@ -242,10 +270,11 @@ impl PredIndex {
         d
     }
 
-    /// View ids passing `tag θ value`: the pass-through views plus the
-    /// union of postings of every target whose constrained domain stays
-    /// satisfiable. Exactly the per-view level-3 test, shared across views.
-    fn allowed(&self, op: CmpOp, value: &Value) -> Vec<u32> {
+    /// Member ids passing `tag θ value`: the union of postings of every
+    /// target whose constrained domain stays satisfiable. Exactly the
+    /// per-view level-3 test, shared across the class. Borrowed when a
+    /// single target admits.
+    fn allowed(&self, op: CmpOp, value: &Value) -> Cow<'_, [u32]> {
         let derived = self.derived();
         let mut sat_slots: Vec<u32> = Vec::new();
         for g in &derived.groups {
@@ -297,12 +326,15 @@ impl PredIndex {
             }
             sat_slots.extend(g.residual.iter().copied().filter(|s| sat(*s)));
         }
-        let mut lists: Vec<&[u32]> = Vec::with_capacity(sat_slots.len() + 1);
-        lists.push(self.pass.as_slice());
-        for slot in &sat_slots {
-            lists.push(self.target(*slot).postings.as_slice());
+        match sat_slots.as_slice() {
+            [] => Cow::Owned(Vec::new()),
+            [slot] => Cow::Borrowed(self.target(*slot).postings.as_slice()),
+            slots => {
+                let lists: Vec<&[u32]> =
+                    slots.iter().map(|s| self.target(*s).postings.as_slice()).collect();
+                Cow::Owned(union(&lists))
+            }
         }
-        union(&lists)
     }
 }
 
@@ -358,16 +390,63 @@ fn interval_of(d: &Domain) -> Option<(f64, f64)> {
     Some((lo, hi))
 }
 
-/// What one view contributed to the shared structure — everything its
-/// removal must undo, held as plain id vectors (no signature copy).
-#[derive(Debug, Default)]
-struct ViewEntry {
-    /// Trie nodes whose postings carry this view's id.
+/// Everything levels 1–2 (and level 3's pass-through test) read from a
+/// signature, as sorted, deduplicated tag ids. Views with equal keys share
+/// a [`Class`].
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct ClassKey {
+    root_children: Vec<u32>,
+    tokens: Vec<u32>,
+    edges: Vec<(u32, u32)>,
+    /// Tags with a `leaf_domains` entry.
+    leaf_tags: Vec<u32>,
+}
+
+/// The views sharing one [`ClassKey`], and their level-3 index.
+#[derive(Debug)]
+struct Class {
+    key: ClassKey,
+    /// Trie nodes whose postings carry this class's id.
     nodes: Vec<u32>,
-    /// `(tag id, target slot)` pairs this view's id was posted under.
+    /// Member view ids.
+    members: Postings,
+    /// One entry per leaf tag; vocabulary tags without one pass through.
+    pred: HashMap<u32, PredIndex>,
+}
+
+impl Class {
+    /// Append to `out` the members passing every predicate (`tags[i]` is
+    /// the interned tag of `preds[i]`, `None` if no view names it).
+    fn admit(&self, preds: &[(String, CmpOp, Value)], tags: &[Option<u32>], out: &mut Vec<u32>) {
+        let mut survivors: Option<Cow<'_, [u32]>> = None;
+        for ((_, op, value), tag) in preds.iter().zip(tags) {
+            let Some(pi) = tag.and_then(|t| self.pred.get(&t)) else { continue };
+            let allowed = pi.allowed(*op, value);
+            let next = match survivors {
+                None => allowed,
+                Some(mut cur) => {
+                    intersect_with(cur.to_mut(), &allowed);
+                    cur
+                }
+            };
+            let empty = next.is_empty();
+            survivors = Some(next);
+            if empty {
+                break;
+            }
+        }
+        out.extend_from_slice(survivors.as_deref().unwrap_or(self.members.as_slice()));
+    }
+}
+
+/// What one view contributed beyond its class's shared structure —
+/// everything its removal must undo, held as plain id vectors.
+#[derive(Debug)]
+struct ViewEntry {
+    class: u32,
+    /// `(tag id, target slot)` pairs of the class's predicate index this
+    /// view's id was posted under.
     pred_targets: Vec<(u32, u32)>,
-    /// Tag ids whose pass-through postings carry this view's id.
-    pred_pass: Vec<u32>,
     /// Lower-cased relations the view reads.
     relations: Vec<String>,
 }
@@ -388,8 +467,10 @@ pub struct TrieIndex {
     tags: TagInterner,
     nodes: Vec<TrieNode>,
     node_free: Vec<u32>,
+    classes: Vec<Option<Class>>,
+    class_free: Vec<u32>,
+    class_by_key: HashMap<ClassKey, u32>,
     rel_postings: HashMap<String, Postings>,
-    pred: HashMap<u32, PredIndex>,
     entries: HashMap<u32, ViewEntry>,
     predicate_pruning: bool,
     inserts: u64,
@@ -411,8 +492,10 @@ impl TrieIndex {
             tags: TagInterner::default(),
             nodes: vec![root(ANCHORED_ROOT), root(FLOATING_ROOT)],
             node_free: Vec::new(),
+            classes: Vec::new(),
+            class_free: Vec::new(),
+            class_by_key: HashMap::new(),
             rel_postings: HashMap::new(),
-            pred: HashMap::new(),
             entries: HashMap::new(),
             predicate_pruning: true,
             inserts: 0,
@@ -456,34 +539,18 @@ impl TrieIndex {
     pub fn insert_parts(&mut self, name: &str, parts: SignatureParts) {
         self.remove(name);
         let vid = self.views.intern(name);
-        let mut entry = ViewEntry::default();
+        let key = self.class_key(&parts);
+        let cid = match self.class_by_key.get(&key) {
+            Some(cid) => *cid,
+            None => self.create_class(key),
+        };
+        let class = self.classes[cid as usize].as_mut().expect("class ids index live classes");
+        class.members.insert(vid);
 
-        for rc in &parts.root_children {
-            let t = self.tags.intern(rc);
-            let n = self.child_or_create(ANCHORED_ROOT, t);
-            self.nodes[n as usize].postings.insert(vid);
-            entry.nodes.push(n);
-        }
-        for tok in &parts.tokens {
-            let t = self.tags.intern(tok);
-            let n = self.child_or_create(FLOATING_ROOT, t);
-            self.nodes[n as usize].postings.insert(vid);
-            entry.nodes.push(n);
-        }
-        for (p, c) in &parts.edges {
-            let pt = self.tags.intern(p);
-            let ct = self.tags.intern(c);
-            let pn = self.child_or_create(FLOATING_ROOT, pt);
-            let en = self.child_or_create(pn, ct);
-            self.nodes[en as usize].postings.insert(vid);
-            entry.nodes.push(en);
-        }
-
-        let with_entry: HashSet<&str> =
-            parts.leaf_domains.iter().map(|(tag, _)| tag.as_str()).collect();
+        let mut pred_targets = Vec::new();
         for (tag, targets) in &parts.leaf_domains {
-            let t = self.tags.intern(tag);
-            let pi = self.pred.entry(t).or_default();
+            let t = self.tags.id(tag).expect("class_key interned every leaf tag");
+            let pi = class.pred.get_mut(&t).expect("a class indexes each of its leaf tags");
             let mut seen: HashSet<u32> = HashSet::new();
             for (ty, domain, sat_ty) in targets {
                 let key = format!("{ty:?}|{sat_ty:?}|{domain:?}");
@@ -494,46 +561,34 @@ impl TrieIndex {
                     .postings
                     .insert(vid);
                 if seen.insert(slot) {
-                    entry.pred_targets.push((t, slot));
+                    pred_targets.push((t, slot));
                 }
             }
             pi.invalidate();
-        }
-        for tok in &parts.tokens {
-            if !with_entry.contains(tok.as_str()) {
-                let t = self.tags.intern(tok);
-                self.pred.entry(t).or_default().pass.insert(vid);
-                entry.pred_pass.push(t);
-            }
         }
 
         for rel in &parts.relations {
             self.rel_postings.entry(rel.clone()).or_default().insert(vid);
         }
-        entry.relations = parts.relations;
-        self.entries.insert(vid, entry);
+        self.entries
+            .insert(vid, ViewEntry { class: cid, pred_targets, relations: parts.relations });
         self.inserts += 1;
     }
 
     /// Drop `name` from the index (a no-op if it was never inserted).
-    /// Cost is proportional to the removed view's own signature; emptied
-    /// trie nodes and predicate targets are unlinked and their ids
+    /// Cost is proportional to the removed view's predicate targets, plus
+    /// its class's structure when the view was the last member; emptied
+    /// targets, trie nodes and classes are unlinked and their ids
     /// recycled, derived endpoint arrays are rebuilt lazily on the next
     /// route.
     pub fn remove(&mut self, name: &str) {
         let Some(vid) = self.views.id(name) else { return };
         let entry = self.entries.remove(&vid).expect("interned views have an entry");
-        let mut nodes = entry.nodes;
-        nodes.sort_unstable();
-        nodes.dedup();
-        for n in &nodes {
-            self.nodes[*n as usize].postings.remove(vid);
-        }
-        for n in nodes {
-            self.maybe_free_node(n);
-        }
+        let class =
+            self.classes[entry.class as usize].as_mut().expect("entries point at live classes");
+        class.members.remove(vid);
         for (t, slot) in entry.pred_targets {
-            let pi = self.pred.get_mut(&t).expect("posted targets have a pred index");
+            let pi = class.pred.get_mut(&t).expect("posted targets have a pred index");
             let target = pi.slots[slot as usize].as_mut().expect("posted targets are live");
             target.postings.remove(vid);
             if target.postings.is_empty() {
@@ -543,17 +598,9 @@ impl TrieIndex {
                 pi.free.push(slot);
             }
             pi.invalidate();
-            if pi.is_empty() {
-                self.pred.remove(&t);
-            }
         }
-        for t in entry.pred_pass {
-            if let Some(pi) = self.pred.get_mut(&t) {
-                pi.pass.remove(vid);
-                if pi.is_empty() {
-                    self.pred.remove(&t);
-                }
-            }
+        if class.members.is_empty() {
+            self.drop_class(entry.class);
         }
         for rel in entry.relations {
             if let Some(p) = self.rel_postings.get_mut(&rel) {
@@ -598,8 +645,8 @@ impl TrieIndex {
         let mut route = Route { views, ..Route::default() };
 
         // Level 1: intersect the floating branch's token postings.
-        let s1: Vec<u32> = if fp.tokens.is_empty() {
-            self.views.ids_sorted()
+        let c1: Vec<u32> = if fp.tokens.is_empty() {
+            (0..self.classes.len() as u32).filter(|c| self.classes[*c as usize].is_some()).collect()
         } else {
             let mut lists: Vec<&[u32]> = Vec::with_capacity(fp.tokens.len());
             let mut missing = false;
@@ -618,53 +665,48 @@ impl TrieIndex {
                 intersect(lists)
             }
         };
-        route.pruned_tags = views - s1.len();
+        let n1 = self.member_count(&c1);
+        route.pruned_tags = views - n1;
 
         // Level 2: anchored root-child postings + floating edge postings.
-        let s1_len = s1.len();
-        let mut s2 = s1;
+        let mut c2 = c1;
         for rc in &fp.root_children {
-            if s2.is_empty() {
+            if c2.is_empty() {
                 break;
             }
             match self.branch_postings(ANCHORED_ROOT, rc) {
-                Some(p) => intersect_with(&mut s2, p),
-                None => s2.clear(),
+                Some(p) => intersect_with(&mut c2, p),
+                None => c2.clear(),
             }
         }
         for (p, c) in &fp.edges {
-            if s2.is_empty() {
+            if c2.is_empty() {
                 break;
             }
             match self.edge_postings(p, c) {
-                Some(e) => intersect_with(&mut s2, e),
-                None => s2.clear(),
+                Some(e) => intersect_with(&mut c2, e),
+                None => c2.clear(),
             }
         }
-        route.pruned_paths = s1_len - s2.len();
+        let n2 = self.member_count(&c2);
+        route.pruned_paths = n1 - n2;
 
-        // Level 3: deduplicated predicate targets.
-        let s2_len = s2.len();
-        let mut s3 = s2;
-        if self.predicate_pruning {
-            for (tag, op, value) in &fp.predicates {
-                if s3.is_empty() {
-                    break;
-                }
-                // A tag no view indexes has no pred entry; the legacy
-                // index passes such predicates unconditionally (and level
-                // 1 already emptied the survivors whenever it matters).
-                let Some(pi) = self.tags.id(tag).and_then(|t| self.pred.get(&t)) else {
-                    continue;
-                };
-                let allowed = pi.allowed(*op, value);
-                intersect_with(&mut s3, &allowed);
+        // Level 3: each surviving class filters its own members.
+        let pred_tags: Vec<Option<u32>> =
+            fp.predicates.iter().map(|(tag, _, _)| self.tags.id(tag)).collect();
+        let mut survivors: Vec<u32> = Vec::new();
+        for cid in &c2 {
+            let class = self.class(*cid);
+            if self.predicate_pruning {
+                class.admit(&fp.predicates, &pred_tags, &mut survivors);
+            } else {
+                survivors.extend_from_slice(class.members.as_slice());
             }
         }
-        route.pruned_preds = s2_len - s3.len();
+        route.pruned_preds = n2 - survivors.len();
 
         let mut candidates: Vec<String> =
-            s3.iter().map(|id| self.views.name(*id).to_string()).collect();
+            survivors.iter().map(|id| self.views.name(*id).to_string()).collect();
         candidates.sort_unstable();
         route.candidates = candidates;
         route
@@ -689,10 +731,19 @@ impl TrieIndex {
             stats.postings += p.len();
             stats.bytes += p.approx_bytes() + 64;
         }
-        for pi in self.pred.values() {
-            stats.postings += pi.pass.len();
-            stats.bytes += pi.pass.approx_bytes();
-            for t in pi.slots.iter().flatten() {
+        for class in self.classes.iter().flatten() {
+            stats.classes += 1;
+            stats.postings += class.members.len();
+            let key = &class.key;
+            stats.bytes += std::mem::size_of::<Class>()
+                + class.members.approx_bytes()
+                + class.nodes.capacity() * std::mem::size_of::<u32>()
+                + 2 * (key.root_children.capacity()
+                    + key.tokens.capacity()
+                    + key.leaf_tags.capacity())
+                    * std::mem::size_of::<u32>()
+                + 2 * key.edges.capacity() * std::mem::size_of::<(u32, u32)>();
+            for t in class.pred.values().flat_map(|pi| pi.slots.iter().flatten()) {
                 stats.postings += t.postings.len();
                 stats.bytes += std::mem::size_of::<PredTarget>()
                     + t.postings.approx_bytes()
@@ -700,11 +751,86 @@ impl TrieIndex {
                     + t.domain.ne.capacity() * std::mem::size_of::<Value>();
             }
         }
+        for e in self.entries.values() {
+            stats.bytes += std::mem::size_of::<ViewEntry>()
+                + e.pred_targets.capacity() * std::mem::size_of::<(u32, u32)>();
+        }
         stats.bytes += self.views.approx_bytes() + self.tags.approx_bytes();
         stats
     }
 
     // ---- internals -----------------------------------------------------
+
+    /// Intern `parts`' structural fields into a class key.
+    fn class_key(&mut self, parts: &SignatureParts) -> ClassKey {
+        let tags = &mut self.tags;
+        let mut ids = |names: &mut dyn Iterator<Item = &String>| -> Vec<u32> {
+            let mut v: Vec<u32> = names.map(|n| tags.intern(n)).collect();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        let root_children = ids(&mut parts.root_children.iter());
+        let tokens = ids(&mut parts.tokens.iter());
+        let leaf_tags = ids(&mut parts.leaf_domains.iter().map(|(tag, _)| tag));
+        let mut edges: Vec<(u32, u32)> =
+            parts.edges.iter().map(|(p, c)| (self.tags.intern(p), self.tags.intern(c))).collect();
+        edges.sort_unstable();
+        edges.dedup();
+        ClassKey { root_children, tokens, edges, leaf_tags }
+    }
+
+    /// Register a new, empty class under `key` and post its id on the
+    /// trie nodes of its structure.
+    fn create_class(&mut self, key: ClassKey) -> u32 {
+        let cid = self.class_free.pop().unwrap_or(self.classes.len() as u32);
+        let mut nodes =
+            Vec::with_capacity(key.root_children.len() + key.tokens.len() + key.edges.len());
+        for t in &key.root_children {
+            nodes.push(self.child_or_create(ANCHORED_ROOT, *t));
+        }
+        for t in &key.tokens {
+            nodes.push(self.child_or_create(FLOATING_ROOT, *t));
+        }
+        for (p, c) in &key.edges {
+            let pn = self.child_or_create(FLOATING_ROOT, *p);
+            nodes.push(self.child_or_create(pn, *c));
+        }
+        for n in &nodes {
+            self.nodes[*n as usize].postings.insert(cid);
+        }
+        let pred = key.leaf_tags.iter().map(|t| (*t, PredIndex::default())).collect();
+        self.class_by_key.insert(key.clone(), cid);
+        let class = Class { key, nodes, members: Postings::default(), pred };
+        match self.classes.get_mut(cid as usize) {
+            Some(slot) => *slot = Some(class),
+            None => self.classes.push(Some(class)),
+        }
+        cid
+    }
+
+    /// Unpost an emptied class from its trie nodes, free the nodes that
+    /// emptied with it, and recycle its id.
+    fn drop_class(&mut self, cid: u32) {
+        let class = self.classes[cid as usize].take().expect("dropped classes are live");
+        self.class_by_key.remove(&class.key);
+        for n in &class.nodes {
+            self.nodes[*n as usize].postings.remove(cid);
+        }
+        for n in class.nodes {
+            self.maybe_free_node(n);
+        }
+        self.class_free.push(cid);
+    }
+
+    fn class(&self, cid: u32) -> &Class {
+        self.classes[cid as usize].as_ref().expect("postings only hold live class ids")
+    }
+
+    /// Views in the classes `cids`.
+    fn member_count(&self, cids: &[u32]) -> usize {
+        cids.iter().map(|c| self.class(*c).members.len()).sum()
+    }
 
     fn child_or_create(&mut self, parent: u32, tag: u32) -> u32 {
         if let Some(n) = self.nodes[parent as usize].children.get(&tag) {
@@ -885,6 +1011,7 @@ UPDATE $root { INSERT <book><bookid>1</bookid></book> }"#,
         let (mut trie, mut linear) = both();
         let before = trie.stats();
         assert!(before.nodes > 0 && before.postings > 0 && before.bytes > 0);
+        assert_eq!(before.classes, 3, "cheap, dear and authors differ in structure");
         trie.remove("cheap");
         linear.remove("cheap");
         assert_eq!(trie.len(), 2);
@@ -902,7 +1029,11 @@ UPDATE $root { INSERT <book><bookid>1</bookid></book> }"#,
         trie.remove("dear");
         trie.remove("authors");
         let empty = trie.stats();
-        assert_eq!((empty.nodes, empty.postings), (0, 0), "all nodes and postings freed");
+        assert_eq!(
+            (empty.classes, empty.nodes, empty.postings),
+            (0, 0, 0),
+            "all classes, nodes and postings freed"
+        );
         assert!(trie.is_empty());
     }
 

@@ -48,6 +48,12 @@ pub const STATS_FAMILIES: &[StatsFamily] = &[
     fam("shards", "ufilter_shards", "gauge", "Catalog shards."),
     fam("views", "ufilter_views", "gauge", "Registered views."),
     fam("connections", "ufilter_connections_total", "counter", "TCP connections accepted."),
+    fam(
+        "connections_refused",
+        "ufilter_connections_refused_total",
+        "counter",
+        "TCP connections refused over the live-connection cap.",
+    ),
     fam("requests", "ufilter_requests_total", "counter", "Requests parsed and handled."),
     fam("errors", "ufilter_errors_total", "counter", "Requests answered with ERR."),
     fam("jobs", "ufilter_jobs_total", "counter", "Jobs dispatched to pool workers."),
@@ -118,6 +124,12 @@ pub const STATS_FAMILIES: &[StatsFamily] = &[
         "ufilter_trie_nodes",
         "gauge",
         "Live nodes in the shared path-trie routing index.",
+    ),
+    fam(
+        "trie_classes",
+        "ufilter_trie_classes",
+        "gauge",
+        "Structural view classes in the routing trie; routing cost scales with this count.",
     ),
     fam("trie_postings", "ufilter_trie_postings", "gauge", "Posting entries in the routing trie."),
     fam(

@@ -32,10 +32,17 @@ use crate::proto::{err_reply, parse_batch_item, parse_batchall_item, parse_reque
 /// the server allocate.
 const MAX_LINE_BYTES: usize = 8 * 1024 * 1024;
 
+/// Most connections served at once. Each is a thread that may buffer up to
+/// [`MAX_LINE_BYTES`]; over the cap a new connection is answered
+/// `ERR busy%20too%20many%20connections` (the escaped detail "busy too
+/// many connections", like every `ERR`) and closed.
+const MAX_CONNECTIONS: usize = 128;
+
 /// Counters the `STATS` command reports (monotonic, server lifetime).
 #[derive(Debug, Default)]
 struct ServerStats {
     connections: AtomicUsize,
+    connections_refused: AtomicUsize,
     requests: AtomicUsize,
     errors: AtomicUsize,
 }
@@ -94,14 +101,21 @@ impl CheckServer {
     }
 
     /// Accept connections until `SHUTDOWN`, then drain: joins every
-    /// connection thread and the worker pool before returning.
+    /// connection thread and the worker pool before returning. At most
+    /// `MAX_CONNECTIONS` (128) are served at once; the rest are refused.
     pub fn run(self) -> std::io::Result<()> {
-        let mut conns = Vec::new();
+        let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
         for stream in self.listener.incoming() {
             if self.shutdown.load(Ordering::SeqCst) {
                 break;
             }
             let stream = stream?;
+            conns.retain(|handle| !handle.is_finished());
+            if conns.len() >= MAX_CONNECTIONS {
+                self.stats.connections_refused.fetch_add(1, Ordering::Relaxed);
+                refuse(stream);
+                continue;
+            }
             self.stats.connections.fetch_add(1, Ordering::Relaxed);
             let conn = Connection {
                 catalog: Arc::clone(&self.catalog),
@@ -140,6 +154,13 @@ impl ShutdownHandle {
         // The accept loop is blocked in accept(); poke it awake.
         let _ = TcpStream::connect(self.addr);
     }
+}
+
+/// Answer a connection over the cap and close it. The write timeout keeps a
+/// client that never reads from stalling the accept loop.
+fn refuse(mut stream: TcpStream) {
+    let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
+    let _ = writeln!(stream, "{}", err_reply("busy too many connections"));
 }
 
 /// Socket options for an accepted connection.
@@ -540,18 +561,20 @@ impl Connection {
                 self.reply(
                     writer,
                     &format!(
-                        "OK workers={} shards={} views={} connections={} requests={} errors={} \
+                        "OK workers={} shards={} views={} connections={} connections_refused={} \
+                         requests={} errors={} \
                          jobs={} checked={} probe_hits={} probe_misses={} compile_hits={} \
                          persist_appends={appends} persist_syncs={syncs} \
                          persist_compactions={compactions} persist_replayed={replayed} \
                          fanout_requests={} candidates={} pruned={} fallbacks={} \
-                         trie_nodes={} trie_postings={} trie_bytes={} trie_inserts={} \
+                         trie_nodes={} trie_classes={} trie_postings={} trie_bytes={} trie_inserts={} \
                          trie_removes={} independence_checked={} independence_independent={} \
                          independence_dependent={} independence_unknown={}",
                         self.pool.workers(),
                         self.catalog.shard_count(),
                         self.catalog.len(),
                         self.stats.connections.load(Ordering::Relaxed),
+                        self.stats.connections_refused.load(Ordering::Relaxed),
                         self.stats.requests.load(Ordering::Relaxed),
                         self.stats.errors.load(Ordering::Relaxed),
                         p.jobs,
@@ -564,6 +587,7 @@ impl Connection {
                         p.fanout_pruned,
                         p.fanout_fallbacks,
                         trie.nodes,
+                        trie.classes,
                         trie.postings,
                         trie.bytes,
                         trie.inserts,
@@ -606,6 +630,7 @@ impl Connection {
             self.catalog.shard_count() as u64,
             self.catalog.len() as u64,
             self.stats.connections.load(Ordering::Relaxed) as u64,
+            self.stats.connections_refused.load(Ordering::Relaxed) as u64,
             self.stats.requests.load(Ordering::Relaxed) as u64,
             self.stats.errors.load(Ordering::Relaxed) as u64,
             p.jobs as u64,
@@ -622,6 +647,7 @@ impl Connection {
             p.fanout_pruned as u64,
             p.fanout_fallbacks as u64,
             trie.nodes as u64,
+            trie.classes as u64,
             trie.postings as u64,
             trie.bytes as u64,
             trie.inserts,
@@ -792,7 +818,7 @@ mod tests {
         let stats = c.roundtrip("STATS");
         assert!(stats.contains("fanout_requests=3"), "{stats}");
         let keys: Vec<&str> = stats.split(' ').filter_map(|kv| kv.split('=').next()).collect();
-        let tail = &keys[keys.len() - 13..];
+        let tail = &keys[keys.len() - 14..];
         assert_eq!(
             tail,
             [
@@ -801,6 +827,7 @@ mod tests {
                 "pruned",
                 "fallbacks",
                 "trie_nodes",
+                "trie_classes",
                 "trie_postings",
                 "trie_bytes",
                 "trie_inserts",
@@ -823,11 +850,77 @@ mod tests {
                 .unwrap()
         };
         assert!(gauge("trie_nodes") > 0, "{stats}");
+        assert_eq!(gauge("trie_classes"), 1, "{stats}");
         assert!(gauge("trie_postings") > 0, "{stats}");
         assert!(gauge("trie_bytes") > 0, "{stats}");
         assert!(gauge("trie_inserts") >= 1, "{stats}");
 
         assert_eq!(c.roundtrip("SHUTDOWN"), "OK bye");
+        handle.join().expect("clean shutdown");
+    }
+
+    /// Whether a fresh connection was refused: a refused one is sent the
+    /// busy `ERR` unprompted, an accepted one stays silent until asked.
+    fn refused(c: &mut Client) -> bool {
+        c.reader.get_ref().set_read_timeout(Some(Duration::from_millis(300))).unwrap();
+        let mut line = String::new();
+        let refused = match c.reader.read_line(&mut line) {
+            Ok(_) => {
+                assert_eq!(line.trim_end(), err_reply("busy too many connections"));
+                true
+            }
+            Err(e) => {
+                assert!(matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ));
+                false
+            }
+        };
+        c.reader.get_ref().set_read_timeout(None).unwrap();
+        refused
+    }
+
+    #[test]
+    fn connections_over_the_cap_are_refused_until_one_closes() {
+        let (addr, handle) = spawn_book_server(1);
+        let mut idle: Vec<Client> = (0..MAX_CONNECTIONS)
+            .map(|_| {
+                let mut c = Client::connect(addr);
+                assert_eq!(c.roundtrip("PING"), "OK pong");
+                c
+            })
+            .collect();
+
+        // One more is told why and closed.
+        let mut over = Client::connect(addr);
+        assert!(refused(&mut over), "connection over the cap was served");
+        let mut rest = String::new();
+        assert_eq!(over.reader.read_line(&mut rest).unwrap(), 0, "refused socket is closed");
+
+        // Closing an idle connection frees its slot once its thread exits.
+        drop(idle.pop());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut fresh = loop {
+            let mut c = Client::connect(addr);
+            if !refused(&mut c) {
+                break c;
+            }
+            assert!(Instant::now() < deadline, "closed connection never freed its slot");
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        assert_eq!(fresh.roundtrip("PING"), "OK pong");
+        let stats = fresh.roundtrip("STATS");
+        let refusals: usize = stats
+            .split(' ')
+            .find_map(|kv| kv.strip_prefix("connections_refused="))
+            .expect("STATS counts refusals")
+            .parse()
+            .unwrap();
+        assert!(refusals >= 1, "{stats}");
+
+        drop(idle);
+        assert_eq!(fresh.roundtrip("SHUTDOWN"), "OK bye");
         handle.join().expect("clean shutdown");
     }
 

@@ -77,8 +77,8 @@ PRUNED=$(sed -n 's/^--- views=[0-9]* candidates=[0-9]* pruned=\([0-9]*\) .*/\1/p
 # routing-index gauges, and they must parse as integers (fanout_requests
 # counts the one checkall above).
 STATS_LINE=$(grep '^OK workers=' <<< "$CLIENT_OUT" | head -1)
-for key in fanout_requests candidates pruned fallbacks \
-           trie_nodes trie_postings trie_bytes trie_inserts trie_removes; do
+for key in connections_refused fanout_requests candidates pruned fallbacks \
+           trie_nodes trie_classes trie_postings trie_bytes trie_inserts trie_removes; do
     VAL=$(tr ' ' '\n' <<< "$STATS_LINE" | sed -n "s/^${key}=\([0-9]*\)$/\1/p")
     [[ "$VAL" =~ ^[0-9]+$ ]] || { echo "FAIL: STATS ${key} missing or non-numeric"; exit 1; }
     echo "STATS ${key}=${VAL}"
@@ -215,8 +215,11 @@ echo "crash-recovery smoke OK"
 # ---- route-scale phase: 10k-view trie build + 50-update route -----------
 # Bounded scale check on the shared path-trie router: build a 10^4-view
 # signature catalog into the trie AND the legacy linear index, route a
-# 50-update stream through both, and fail on any candidate-set divergence
-# (the binary exits non-zero on mismatch).
+# 50-update stream through both, and fail on any route divergence (the
+# binary exits non-zero on mismatch). The three view families must occupy
+# exactly three structural classes, and routing must stay flat in N:
+# route_ratio (per-update time at 10k views over 1k) is gated at 3. It is
+# a ratio of two runs on the same host, not an absolute time.
 FIGS=${PAPER_FIGURES_BIN:-target/release/paper-figures}
 if [ -x "$FIGS" ]; then
     SMOKE=$(timeout 120 "$FIGS" routesmoke --n 10000 --updates 50)
@@ -225,6 +228,13 @@ if [ -x "$FIGS" ]; then
         || { echo "FAIL: route-scale smoke did not report OK"; exit 1; }
     NODES=$(tr ' ' '\n' <<< "$SMOKE" | sed -n 's/^trie_nodes=\([0-9]*\)$/\1/p')
     [ "$NODES" -ge 1 ] || { echo "FAIL: route-scale smoke built an empty trie"; exit 1; }
+    CLASSES=$(tr ' ' '\n' <<< "$SMOKE" | sed -n 's/^trie_classes=\([0-9]*\)$/\1/p')
+    [ "$CLASSES" = "3" ] \
+        || { echo "FAIL: route-scale smoke trie_classes=${CLASSES}, expected 3"; exit 1; }
+    RATIO=$(tr ' ' '\n' <<< "$SMOKE" | sed -n 's/^route_ratio=\([0-9.]*\)$/\1/p')
+    [[ "$RATIO" =~ ^[0-9.]+$ ]] || { echo "FAIL: route-scale smoke route_ratio missing"; exit 1; }
+    awk -v r="$RATIO" 'BEGIN { exit !(r <= 3) }' \
+        || { echo "FAIL: route_ratio=${RATIO} > 3: routing grows with the catalog"; exit 1; }
     echo "route-scale smoke OK"
 else
     echo "SKIP: $FIGS not built; route-scale smoke skipped"

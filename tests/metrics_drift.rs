@@ -17,11 +17,12 @@ use u_filter::service::{CheckServer, ShardedCatalog, STATS_FAMILIES};
 /// The `STATS` reply keys, in reply order, pinned. Changing this list is a
 /// wire-protocol change: update `STATS_FAMILIES`, the server's `STATS`
 /// arm, and `scripts/ci_service_smoke.sh` together.
-const PINNED_STATS_KEYS: [&str; 28] = [
+const PINNED_STATS_KEYS: [&str; 30] = [
     "workers",
     "shards",
     "views",
     "connections",
+    "connections_refused",
     "requests",
     "errors",
     "jobs",
@@ -38,6 +39,7 @@ const PINNED_STATS_KEYS: [&str; 28] = [
     "pruned",
     "fallbacks",
     "trie_nodes",
+    "trie_classes",
     "trie_postings",
     "trie_bytes",
     "trie_inserts",
@@ -155,6 +157,12 @@ fn live_stats_reply_and_metrics_exposition_carry_the_same_keys() {
     };
     assert_eq!(metric_value("ufilter_workers"), 2.0);
     assert_eq!(metric_value("ufilter_views"), 1.0);
+    // One view is one structural class, on both surfaces; nothing was
+    // refused.
+    assert_eq!(metric_value("ufilter_trie_classes"), 1.0);
+    assert!(body.split(' ').any(|kv| kv == "trie_classes=1"), "{stats}");
+    assert_eq!(metric_value("ufilter_connections_refused_total"), 0.0);
+    assert!(body.split(' ').any(|kv| kv == "connections_refused=0"), "{stats}");
     assert!(metric_value("ufilter_requests_total") >= 2.0);
     // The independence stage rides the same Stage taxonomy as every other
     // pipeline span, so its summary series must be present too.

@@ -18,7 +18,7 @@ use u_filter::asg::build_view_asg;
 use u_filter::core::catalog::{FanoutReport, ViewCatalog};
 use u_filter::core::wire::encode_outcome;
 use u_filter::core::{bookdemo, wire_outcome_is_irrelevant, ProbeCache};
-use u_filter::route::{RelevanceIndex, TrieIndex};
+use u_filter::route::{RelevanceIndex, TrieIndex, ViewSignature};
 use u_filter::tpch::{
     fanout_stream, generate, many_views, stream, stream_views, tpch_schema, Scale, StreamSpec,
 };
@@ -263,6 +263,100 @@ fn trie_and_linear_walk_agree_on_tpch_streams_with_churn() {
             linear.insert(name, asg);
         }
         assert_indexes_agree(&trie, &linear, &updates, "after re-add churn");
+    }
+}
+
+/// Routing signatures of `many_views(n, …)`: parse + ASG build, no
+/// UFilter compilation.
+fn family_signatures(n: usize, scale: Scale) -> Vec<(String, ViewSignature)> {
+    let schema = tpch_schema(DeletePolicy::Cascade);
+    many_views(n, scale)
+        .into_iter()
+        .map(|(name, text)| {
+            let q = parse_view_query(&text).expect("generated view parses");
+            (name, ViewSignature::of(&build_view_asg(&q, &schema).expect("generated view builds")))
+        })
+        .collect()
+}
+
+/// The trie's structural classes through their whole lifecycle — a family
+/// emptied, re-created with new partition bounds, a class that differs
+/// only in its leaf-domain tags, and a full drain — with the full `Route`
+/// held equal to the linear oracle after every step.
+#[test]
+fn trie_classes_live_and_die_with_their_families() {
+    let scale = Scale::tiny();
+    let mut updates = fanout_stream(60, scale, 21);
+    updates.extend(stream(StreamSpec::heavy(6), scale, 21).into_iter().map(|(_, u)| u));
+    let classes = |trie: &TrieIndex| trie.stats().classes;
+
+    let views = family_signatures(90, scale);
+    let mut trie = TrieIndex::new();
+    let mut linear = RelevanceIndex::new();
+    for (name, sig) in &views {
+        trie.insert_signature(name, sig.clone());
+        linear.insert_signature(name, sig.clone());
+    }
+    assert_indexes_agree(&trie, &linear, &updates, "full catalog");
+    assert_eq!(classes(&trie), 3);
+
+    // Drop the whole geo family: its class empties and is unposted.
+    let geo = |name: &str| name.starts_with("geo_p");
+    for (name, _) in views.iter().filter(|(n, _)| geo(n)) {
+        trie.remove(name);
+        linear.remove(name);
+    }
+    assert_indexes_agree(&trie, &linear, &updates, "geo family dropped");
+    assert_eq!(classes(&trie), 2);
+
+    // Re-add it with a different partition count, so every bound differs.
+    let regeo: Vec<(String, ViewSignature)> =
+        family_signatures(150, scale).into_iter().filter(|(n, _)| geo(n)).collect();
+    assert_ne!(regeo.len(), views.iter().filter(|(n, _)| geo(n)).count());
+    for (name, sig) in &regeo {
+        trie.insert_signature(name, sig.clone());
+        linear.insert_signature(name, sig.clone());
+    }
+    assert_indexes_agree(&trie, &linear, &updates, "geo family re-added with new bounds");
+    assert_eq!(classes(&trie), 3);
+
+    // A customer view whose c_custkey has no leaf-domain entry differs from
+    // its family only in the leaf-domain tag set: its own class, where a
+    // c_custkey predicate passes through.
+    let mut parts = views[0].1.to_parts();
+    parts.leaf_domains.retain(|(tag, _)| tag != "c_custkey");
+    trie.insert_parts("cust_passthrough", parts.clone());
+    linear.insert_signature("cust_passthrough", ViewSignature::from_parts(parts));
+    assert_eq!(classes(&trie), 4, "a different leaf-domain tag set is a different class");
+    assert_indexes_agree(&trie, &linear, &updates, "pass-through class added");
+    let by_key = parse_update(&u_filter::tpch::fanout_updates::delete_customer_orders(7)).unwrap();
+    assert!(trie.route(&by_key).candidates.contains(&"cust_passthrough".to_string()));
+
+    // Drain everything: no class, node or posting survives.
+    let mut names: Vec<String> = views.iter().map(|(n, _)| n.clone()).filter(|n| !geo(n)).collect();
+    names.extend(regeo.into_iter().map(|(n, _)| n));
+    names.push("cust_passthrough".to_string());
+    for name in &names {
+        trie.remove(name);
+        linear.remove(name);
+    }
+    assert_indexes_agree(&trie, &linear, &updates, "drained");
+    let empty = trie.stats();
+    assert_eq!((empty.classes, empty.nodes, empty.postings), (0, 0, 0), "{empty:?}");
+    assert!(trie.is_empty());
+}
+
+/// However many partitions, the three `many_views` families are three
+/// structural classes.
+#[test]
+fn many_view_families_occupy_three_classes_at_any_size() {
+    for n in [30, 3000] {
+        let mut trie = TrieIndex::new();
+        for (name, sig) in family_signatures(n, Scale::tiny()) {
+            trie.insert_signature(&name, sig);
+        }
+        assert_eq!(trie.len(), n);
+        assert_eq!(trie.stats().classes, 3, "n={n}");
     }
 }
 
