@@ -1096,11 +1096,11 @@ pub fn serve_throughput(
         ServeMode::PerRequest => {
             let mut reports = 0;
             for (view, text) in &s {
-                reports += pool.check_one(view, text).len();
+                reports += pool.check_one(view, text).expect("no checker panic").len();
             }
             reports
         }
-        ServeMode::Pipelined => pool.check_stream(&s).items.len(),
+        ServeMode::Pipelined => pool.check_stream(&s).expect("no checker panic").items.len(),
     };
 
     // The percentile columns come from the same lock-free request
@@ -1122,7 +1122,7 @@ pub fn serve_throughput(
         for (name, text) in stream_views() {
             catalog.add(name, text).expect("evaluation view compiles");
         }
-        let pool = CheckPool::new(catalog, &db, w);
+        let pool = CheckPool::new(catalog, db.clone(), w);
         assert!(run_pass(&pool) >= s.len()); // warm-up pass
         let before = obs::snapshot();
         let mut samples = Vec::with_capacity(reps);

@@ -204,9 +204,10 @@ pub struct FanoutStats {
 }
 
 impl FanoutStats {
-    /// Fold one routing decision into the counters (the service's fan-out
-    /// paths call this per request).
+    /// Fold one routing decision into the counters (the fan-out paths call
+    /// this per request). `views` keeps the largest catalog routed over.
     pub fn absorb(&mut self, route: &Route) {
+        self.views = self.views.max(route.views);
         self.fanout_requests += 1;
         self.candidates += route.candidates.len();
         self.pruned += route.pruned();
@@ -214,6 +215,20 @@ impl FanoutStats {
         self.pruned_paths += route.pruned_paths;
         self.pruned_preds += route.pruned_preds;
         self.fallbacks += usize::from(route.fallback);
+    }
+
+    /// Accumulate another fan-out's counters into this one (the worker
+    /// pool merges per-worker partial reports). Counters add; `views` is a
+    /// gauge of the catalog both sides routed over, so the larger is kept.
+    pub fn merge(&mut self, other: &FanoutStats) {
+        self.views = self.views.max(other.views);
+        self.fanout_requests += other.fanout_requests;
+        self.candidates += other.candidates;
+        self.pruned += other.pruned;
+        self.pruned_tags += other.pruned_tags;
+        self.pruned_paths += other.pruned_paths;
+        self.pruned_preds += other.pruned_preds;
+        self.fallbacks += other.fallbacks;
     }
 }
 
@@ -227,6 +242,21 @@ pub struct FanoutItem {
     pub view: String,
     /// Per-action reports, exactly as [`UFilter::check`] would produce.
     pub reports: Vec<CheckReport>,
+}
+
+impl From<FanoutItem> for BatchItemReport {
+    /// A fan-out item whose update index is a stream index.
+    fn from(item: FanoutItem) -> BatchItemReport {
+        BatchItemReport { index: item.update, view: item.view, reports: item.reports }
+    }
+}
+
+impl From<BatchItemReport> for FanoutItem {
+    /// A batch item whose index is an update index (the fan-out engines
+    /// pass one update index per candidate view).
+    fn from(item: BatchItemReport) -> FanoutItem {
+        FanoutItem { update: item.index, view: item.view, reports: item.reports }
+    }
 }
 
 /// Result of a catalog-wide check: per-candidate reports in
@@ -773,34 +803,20 @@ impl ViewCatalog {
     }
 
     /// [`check_batch_text_with_cache`](Self::check_batch_text_with_cache)
-    /// over borrowed items — the zero-copy entry point the sharded service
-    /// catalog feeds worker partitions through.
+    /// over borrowed items: each distinct text is parsed once, then the
+    /// stream runs through [`run_batch`](Self::run_batch).
     pub fn check_batch_refs(
         &self,
         items: &[(&str, &str)],
         db: &mut Db,
         cache: &mut ProbeCache,
     ) -> BatchReport {
-        let mut parsed: HashMap<&str, Result<UpdateStmt, String>> = HashMap::new();
-        let mut parse_hits = 0;
-        let mut stream: Vec<(usize, &str, Result<UpdateStmt, String>)> =
-            Vec::with_capacity(items.len());
-        for (i, (view, text)) in items.iter().copied().enumerate() {
-            let entry = match parsed.get(text) {
-                Some(r) => {
-                    parse_hits += 1;
-                    r.clone()
-                }
-                None => {
-                    let span = obs::clock();
-                    let r = parse_update(text).map_err(|e| e.to_string());
-                    obs::stage_elapsed(Stage::Parse, span);
-                    parsed.insert(text, r.clone());
-                    r
-                }
-            };
-            stream.push((i, view, entry));
-        }
+        let (parsed, parse_hits) = parse_distinct(items.iter().map(|(_, text)| *text));
+        let stream: Vec<BatchEntry> = items
+            .iter()
+            .enumerate()
+            .map(|(i, (view, text))| (i, *view, parsed[text].as_ref().map_err(String::as_str)))
+            .collect();
         let mut report = self.run_batch(&stream, db, cache);
         report.stats.parse_hits = parse_hits;
         report
@@ -809,20 +825,22 @@ impl ViewCatalog {
     /// Check a stream of already-parsed updates (see the module docs; this
     /// is the amortized, check-only batch engine).
     pub fn check_batch(&self, items: &[(String, UpdateStmt)], db: &mut Db) -> BatchReport {
-        let stream: Vec<(usize, &str, Result<UpdateStmt, String>)> = items
-            .iter()
-            .enumerate()
-            .map(|(i, (view, u))| (i, view.as_str(), Ok(u.clone())))
-            .collect();
+        let stream: Vec<BatchEntry> =
+            items.iter().enumerate().map(|(i, (view, u))| (i, view.as_str(), Ok(u))).collect();
         self.run_batch(&stream, db, &mut ProbeCache::new())
     }
 
-    /// The shared batch engine: resolve every update once, group by
-    /// (view, resolved target node), then run the groups back-to-back over
-    /// one probe cache so same-target probes share scans.
-    fn run_batch(
+    /// The shared batch engine over already-parsed updates: resolve every
+    /// update once, group by (view, resolved target node), then run the
+    /// groups back-to-back over one probe cache so same-target probes share
+    /// scans. Each entry is `(index, view, parse result)`; an `Err` carries
+    /// the parse error and yields the per-view malformed report. Indices
+    /// are echoed into the reports (they need not be distinct: a fan-out
+    /// passes one update index per candidate view), which come back sorted
+    /// by index. `parse_hits` is left at 0 — parsing is the caller's.
+    pub fn run_batch(
         &self,
-        stream: &[(usize, &str, Result<UpdateStmt, String>)],
+        stream: &[BatchEntry<'_>],
         db: &mut Db,
         cache: &mut ProbeCache,
     ) -> BatchReport {
@@ -838,12 +856,12 @@ impl ViewCatalog {
 
         for (index, view, parsed) in stream {
             let u = match parsed {
-                Ok(u) => u,
+                Ok(u) => *u,
                 Err(m) => {
                     items.push(BatchItemReport {
                         index: *index,
                         view: view.to_string(),
-                        reports: vec![malformed(m.clone())],
+                        reports: vec![malformed(m.to_string())],
                     });
                     continue;
                 }
@@ -963,18 +981,11 @@ impl ViewCatalog {
     ) -> FanoutReport {
         let mut fanout = FanoutStats { views: self.views.len(), ..FanoutStats::default() };
         let mut items: Vec<FanoutItem> = Vec::new();
-        let mut parsed: HashMap<&str, Result<UpdateStmt, String>> = HashMap::new();
-        // (update index, view) for every candidate pair; the parsed
-        // statement is cloned out of `parsed` only at stream build.
-        let mut work: Vec<(usize, String)> = Vec::new();
-        for (ui, text) in updates.iter().copied().enumerate() {
-            let entry = parsed.entry(text).or_insert_with(|| {
-                let span = obs::clock();
-                let r = parse_update(text).map_err(|e| e.to_string());
-                obs::stage_elapsed(Stage::Parse, span);
-                r
-            });
-            match entry {
+        let (parsed, parse_hits) = parse_distinct(updates.iter().copied());
+        // (update index, parse, candidate views) for every routed update.
+        let mut routed: Vec<(usize, &UpdateStmt, Vec<String>)> = Vec::new();
+        for (ui, text) in updates.iter().enumerate() {
+            match &parsed[text] {
                 Err(m) => {
                     // Unparsable text fails identically for every view —
                     // emit the same per-view malformed reports the
@@ -1004,25 +1015,46 @@ impl ViewCatalog {
                     obs::stage_elapsed(Stage::Route, span);
                     obs::record_route_candidates(route.candidates.len());
                     fanout.absorb(&route);
-                    for view in route.candidates {
-                        work.push((ui, view));
-                    }
+                    routed.push((ui, u, route.candidates));
                 }
             }
         }
-        let stream: Vec<(usize, &str, Result<UpdateStmt, String>)> = work
+        let stream: Vec<BatchEntry> = routed
             .iter()
-            .enumerate()
-            .map(|(seq, (ui, view))| (seq, view.as_str(), parsed[updates[*ui]].clone()))
+            .flat_map(|(ui, u, views)| views.iter().map(move |v| (*ui, v.as_str(), Ok(*u))))
             .collect();
-        let report = self.run_batch(&stream, db, cache);
-        for item in report.items {
-            let (ui, view) = &work[item.index];
-            items.push(FanoutItem { update: *ui, view: view.clone(), reports: item.reports });
-        }
+        let mut report = self.run_batch(&stream, db, cache);
+        report.stats.parse_hits = parse_hits;
+        items.extend(report.items.into_iter().map(FanoutItem::from));
         items.sort_by(|a, b| (a.update, a.view.as_str()).cmp(&(b.update, b.view.as_str())));
         FanoutReport { items, fanout, batch: report.stats }
     }
+}
+
+/// One entry of a [`ViewCatalog::run_batch`] stream: `(index, view, parse)`,
+/// where the parse is the borrowed statement or the parse error's text.
+pub type BatchEntry<'a> = (usize, &'a str, Result<&'a UpdateStmt, &'a str>);
+
+/// Update texts parsed once each, keyed by text (see [`parse_distinct`]).
+pub type ParsedUpdates<'a> = HashMap<&'a str, Result<UpdateStmt, String>>;
+
+/// Parse every distinct text in `texts` once, recording one
+/// `Stage::Parse` span per parse. Returns the parses keyed by text and the
+/// number of texts that repeated an earlier one (the batch `parse_hits`).
+pub fn parse_distinct<'a>(texts: impl IntoIterator<Item = &'a str>) -> (ParsedUpdates<'a>, usize) {
+    let mut parsed = ParsedUpdates::new();
+    let mut hits = 0;
+    for text in texts {
+        if parsed.contains_key(text) {
+            hits += 1;
+            continue;
+        }
+        let span = obs::clock();
+        let r = parse_update(text).map_err(|e| e.to_string());
+        obs::stage_elapsed(Stage::Parse, span);
+        parsed.insert(text, r);
+    }
+    (parsed, hits)
 }
 
 /// Whether `stmt` is schema-affecting DDL the catalog guards (the single

@@ -53,8 +53,8 @@ pub mod validate;
 pub mod wire;
 
 pub use catalog::{
-    BatchItemReport, BatchReport, BatchStats, CatalogError, FanoutItem, FanoutReport, FanoutStats,
-    ViewCatalog, ViewInfo,
+    parse_distinct, BatchEntry, BatchItemReport, BatchReport, BatchStats, CatalogError, FanoutItem,
+    FanoutReport, FanoutStats, ViewCatalog, ViewInfo,
 };
 pub use datacheck::{DataCheckReport, Strategy};
 pub use independence::{IndependenceStats, Verdict};

@@ -643,10 +643,10 @@ impl UFilter {
         }
         let preds = datacheck::relevant_preds(&info, &action.predicates);
         let probe = build_probe(&self.schema, &info, &preds, &SelectSpec::Keys);
-        let (rs, cache_hit) =
-            cache.get_or_fetch(&probe.to_string(), || db.query(&probe)).map_err(|e| {
-                CheckOutcome::Untranslatable { step: CheckStep::DataContext, reason: e.to_string() }
-            })?;
+        let sql = probe.to_string();
+        let (rs, cache_hit) = cache.get_or_fetch(&sql, || db.query(&probe)).map_err(|e| {
+            CheckOutcome::Untranslatable { step: CheckStep::DataContext, reason: e.to_string() }
+        })?;
         if rs.is_empty() {
             let reason = format!(
                 "the <{}> element the update addresses does not exist in the view",
@@ -659,19 +659,19 @@ impl UFilter {
             CheckStep::DataContext,
             format!("context probe matched {} instance(s) of <{}>", rs.len(), ctx.tag),
         ));
-        // Materialize for reuse (the paper's TAB_book) when requested. A
-        // cache hit alone is not enough to skip the work: a different probe
-        // may have overwritten `TAB_<tag>` in between, so only reuse the
-        // table while it still holds this probe's result.
+        // Materialize for reuse (the paper's TAB_book) when requested, from
+        // the rows in hand — the probe runs at most once per check. A cache
+        // hit alone is not enough to skip the work: a different probe may
+        // have overwritten `TAB_<tag>` in between, so only reuse the table
+        // while it still holds this probe's result.
         let tab = if materialize {
             let name = format!("TAB_{}", ctx.tag);
-            let sql = probe.to_string();
             if !(cache_hit && cache.materialized.get(&name) == Some(&sql)) {
                 // Only record freshness on success — a failed materialize
                 // must not make later items trust a stale table (the error
                 // itself stays non-fatal, as before: the plan's probes
                 // will surface it).
-                if db.materialize(&name, &probe).is_ok() {
+                if db.materialize_result(&name, rs.clone()).is_ok() {
                     cache.materialized.insert(name.clone(), sql);
                 } else {
                     cache.materialized.remove(&name);

@@ -417,7 +417,7 @@ impl TcpHarness {
         for (name, text) in &plan.views {
             sharded.add(name, text).map_err(|e| gen_err(format!("server add {name}: {e}")))?;
         }
-        let server = CheckServer::bind("127.0.0.1:0", Arc::new(sharded), db, 2)
+        let server = CheckServer::bind("127.0.0.1:0", Arc::new(sharded), db.clone(), 2)
             .map_err(|e| gen_err(format!("bind: {e}")))?;
         let addr = server.local_addr();
         let handle = server.shutdown_handle();

@@ -40,7 +40,7 @@ fn adversarial_frames_never_kill_the_server() {
     let sharded = ShardedCatalog::new(bookdemo::book_schema(), 2);
     sharded.add("books", bookdemo::BOOK_VIEW).expect("demo view compiles");
     let server =
-        CheckServer::bind("127.0.0.1:0", Arc::new(sharded), &db, 2).expect("ephemeral bind");
+        CheckServer::bind("127.0.0.1:0", Arc::new(sharded), db, 2).expect("ephemeral bind");
     let addr = server.local_addr();
     let handle = server.shutdown_handle();
     let thread = std::thread::spawn(move || server.run());
@@ -111,7 +111,7 @@ fn over_deep_inputs_get_typed_replies_and_the_server_survives() {
     let sharded = ShardedCatalog::new(bookdemo::book_schema(), 2);
     sharded.add("books", bookdemo::BOOK_VIEW).expect("demo view compiles");
     let server =
-        CheckServer::bind("127.0.0.1:0", Arc::new(sharded), &db, 2).expect("ephemeral bind");
+        CheckServer::bind("127.0.0.1:0", Arc::new(sharded), db, 2).expect("ephemeral bind");
     let addr = server.local_addr();
     let handle = server.shutdown_handle();
     let thread = std::thread::spawn(move || server.run());

@@ -278,6 +278,14 @@ impl Db {
     /// outside strategy joins against.
     pub fn materialize(&mut self, name: &str, select: &Select) -> Result<usize> {
         let rs = self.query(select)?;
+        self.materialize_result(name, rs)
+    }
+
+    /// [`materialize`](Self::materialize) from a result already in hand, so
+    /// a caller that just ran the query does not run it again. Duplicate
+    /// column names get `_2`, `_3`, … suffixes; a column's type is that of
+    /// its first non-NULL value (string when all are NULL).
+    pub fn materialize_result(&mut self, name: &str, rs: ResultSet) -> Result<usize> {
         let mut table = TableSchema::new(name);
         let mut seen: HashMap<String, usize> = HashMap::new();
         for (i, c) in rs.columns.iter().enumerate() {

@@ -264,6 +264,35 @@ fn materialized_tables_have_no_indexes() {
 }
 
 #[test]
+fn materialize_result_builds_the_same_table_as_materialize() {
+    // Duplicate column names (suffixed `_2`) and a LEFT JOIN whose review
+    // columns are NULL for unreviewed books (typed by the first non-NULL).
+    let probe = Parser::parse_select(
+        "SELECT b.bookid, r.bookid, r.comment, b.price \
+         FROM ( Book AS b LEFT JOIN Review AS r ON b.bookid = r.bookid )",
+    )
+    .unwrap();
+    let mut by_query = book_db();
+    let mut from_result = book_db();
+    let n = by_query.materialize("TAB_probe", &probe).unwrap();
+    let rs = from_result.query(&probe).unwrap();
+    assert_eq!(from_result.materialize_result("TAB_probe", rs).unwrap(), n);
+
+    let columns = |db: &Db| -> Vec<(String, ufilter_rdb::DataType)> {
+        let table = db.schema().table("TAB_probe").expect("materialized");
+        table.columns.iter().map(|c| (c.name.clone(), c.ty)).collect()
+    };
+    let names: Vec<String> = columns(&by_query).into_iter().map(|(name, _)| name).collect();
+    assert_eq!(names, ["bookid", "bookid_2", "comment", "price"]);
+    assert_eq!(columns(&by_query), columns(&from_result));
+    let rows = |db: &Db| db.query_sql("SELECT * FROM TAB_probe").unwrap();
+    let (a, b) = (rows(&by_query), rows(&from_result));
+    assert_eq!(a, b);
+    assert!(a.rows.iter().any(|r| r[2] == Value::Null), "a NULL-padded row is covered");
+    assert!(from_result.table_data("TAB_probe").unwrap().indexes.is_empty());
+}
+
+#[test]
 fn fig11_left_join_view() {
     let mut db = book_db();
     db.execute_sql(

@@ -120,8 +120,9 @@ impl Footprint {
         fp
     }
 
-    /// An empty footprint with [`fallback`](Footprint::fallback) set.
-    fn unclassifiable() -> Footprint {
+    /// An empty footprint with [`fallback`](Footprint::fallback) set: it
+    /// routes to every view (an update that does not even parse).
+    pub fn unclassifiable() -> Footprint {
         Footprint { fallback: true, ..Footprint::default() }
     }
 

@@ -17,13 +17,15 @@
 //! That rule makes deadlock impossible: every multi-lock acquisition is a
 //! prefix-ordered sweep, and single-lock acquisitions cannot form a cycle.
 
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use ufilter_core::catalog::is_schema_ddl;
-use ufilter_core::obs::{self, LockKind};
+use ufilter_core::obs::{self, LockKind, Stage};
 use ufilter_core::{
-    BatchItemReport, BatchReport, BatchStats, CatalogError, CatalogStore, Footprint, IndexStats,
-    LogRecord, ProbeCache, ReplayStats, Route, UFilterConfig, ViewCatalog, ViewInfo,
+    parse_distinct, BatchEntry, BatchItemReport, BatchReport, BatchStats, CatalogError,
+    CatalogStore, FanoutItem, FanoutReport, FanoutStats, Footprint, IndexStats, LogRecord,
+    ProbeCache, ReplayStats, Route, UFilterConfig, ViewCatalog, ViewInfo,
 };
 use ufilter_rdb::{DatabaseSchema, Db, ExecOutcome, Parser, Stmt};
 use ufilter_xquery::UpdateStmt;
@@ -215,10 +217,14 @@ impl ShardedCatalog {
     /// lock-ordering rule.
     pub fn route_update(&self, u: &UpdateStmt) -> Route {
         // One footprint extraction per request, shared by every shard.
-        let fp = Footprint::of(u);
+        self.route_footprint(&Footprint::of(u))
+    }
+
+    /// [`route_update`](Self::route_update) for an extracted footprint.
+    fn route_footprint(&self, fp: &Footprint) -> Route {
         let mut merged = Route::default();
         for i in 0..self.shards.len() {
-            let route = self.read(i).route_footprint(&fp);
+            let route = self.read(i).route_footprint(fp);
             merged.views += route.views;
             merged.pruned_tags += route.pruned_tags;
             merged.pruned_paths += route.pruned_paths;
@@ -321,59 +327,102 @@ impl ShardedCatalog {
         Ok(out)
     }
 
-    /// Check a stream of `(global index, view, update text)` items, sharing
-    /// `cache` across the whole call. Items are grouped by shard; each
-    /// shard's sub-batch runs under that shard's read lock (one at a time,
-    /// ascending — the lock-ordering rule), then reports are re-indexed to
-    /// the caller's global indices and merged back into index order.
+    /// The check path's one entry point: check `(index, view, update
+    /// text)` items, sharing `cache` across the call. An item that names a
+    /// view (`CHECK`, `BATCH`) is checked against it; an item without one
+    /// (`CHECKALL`, `BATCHALL`) is routed through every shard's relevance
+    /// index and checked against each candidate view, an unparsable text
+    /// against every view. Returns one [`FanoutItem`] per (index, view)
+    /// checked, sorted by `(index, view)`, with the batch and fan-out
+    /// counters.
     ///
-    /// Outcomes are identical to a single [`ViewCatalog`] holding every
-    /// view: grouping by shard only changes *which* probe scans are shared,
-    /// never any per-item classification (batch checking is check-only, so
-    /// probe results cannot be invalidated mid-call).
-    pub fn check_indexed(
+    /// Each distinct text is parsed once and routed once. Items are then
+    /// grouped by shard; each shard's sub-batch runs under that shard's
+    /// read lock (one at a time, ascending — the lock-ordering rule) on the
+    /// already parsed statements. Outcomes are identical to a single
+    /// [`ViewCatalog`] holding every view: grouping by shard only changes
+    /// *which* probe scans are shared, never any per-item classification
+    /// (batch checking is check-only, so probe results cannot be
+    /// invalidated mid-call).
+    ///
+    /// Routing and checking are two steps, each individually consistent
+    /// but not atomic together: a view dropped concurrently between them
+    /// yields the same per-item "no view named …" report a direct `CHECK`
+    /// of that view would, and a view added in between may be missed.
+    /// Holding every shard lock across the pipeline run would serialize the
+    /// whole service against its slowest check.
+    pub fn check_items(
         &self,
-        items: &[(usize, &str, &str)],
+        items: &[(usize, Option<&str>, &str)],
         db: &mut Db,
         cache: &mut ProbeCache,
-    ) -> (Vec<BatchItemReport>, BatchStats) {
-        // shard → (global indices, borrowed sub-stream), preserving input
-        // order. Borrowed all the way down (`check_batch_refs`): the hot
-        // path never clones a view name or update text.
-        type ShardSlice<'a> = (Vec<usize>, Vec<(&'a str, &'a str)>);
-        let mut per_shard: Vec<ShardSlice> = vec![(Vec::new(), Vec::new()); self.shards.len()];
-        for (index, view, text) in items.iter().copied() {
-            let (globals, sub) = &mut per_shard[self.shard_of(view)];
-            globals.push(index);
-            sub.push((view, text));
+    ) -> FanoutReport {
+        let (parsed, parse_hits) = parse_distinct(items.iter().map(|(_, _, text)| *text));
+        let mut routes: HashMap<&str, Route> = HashMap::new();
+        for (_, view, text) in items {
+            if view.is_some() || routes.contains_key(text) {
+                continue;
+            }
+            let route = match &parsed[text] {
+                Ok(u) => {
+                    let span = obs::clock();
+                    let route = self.route_update(u);
+                    obs::stage_elapsed(Stage::Route, span);
+                    route
+                }
+                // The batch engine gives every view the same malformed
+                // report the brute-force loop would.
+                Err(_) => self.route_footprint(&Footprint::unclassifiable()),
+            };
+            routes.insert(text, route);
         }
-        let mut out: Vec<BatchItemReport> = Vec::with_capacity(items.len());
-        let mut stats = BatchStats::default();
-        for (shard, (globals, sub)) in per_shard.into_iter().enumerate() {
+
+        let mut fanout = FanoutStats::default();
+        let mut per_shard: Vec<Vec<BatchEntry>> = vec![Vec::new(); self.shards.len()];
+        for (index, view, text) in items.iter().copied() {
+            let stmt = parsed[text].as_ref().map_err(String::as_str);
+            match view {
+                Some(view) => per_shard[self.shard_of(view)].push((index, view, stmt)),
+                None => {
+                    let route = &routes[text];
+                    if stmt.is_ok() {
+                        obs::record_route_candidates(route.candidates.len());
+                    }
+                    fanout.absorb(route);
+                    for view in &route.candidates {
+                        per_shard[self.shard_of(view)].push((index, view, stmt));
+                    }
+                }
+            }
+        }
+
+        let mut out: Vec<FanoutItem> = Vec::new();
+        let mut batch = BatchStats { parse_hits, ..BatchStats::default() };
+        for (shard, sub) in per_shard.iter().enumerate() {
             if sub.is_empty() {
                 continue;
             }
             let span = obs::clock();
-            let report = self.read(shard).check_batch_refs(&sub, db, cache);
+            let report = self.read(shard).run_batch(sub, db, cache);
             obs::lock_hold_elapsed(LockKind::Read, span);
-            stats.merge(&report.stats);
-            for mut item in report.items {
-                item.index = globals[item.index];
-                out.push(item);
-            }
+            batch.merge(&report.stats);
+            out.extend(report.items.into_iter().map(FanoutItem::from));
         }
-        out.sort_by_key(|i| i.index);
-        (out, stats)
+        out.sort_by(|a, b| (a.update, a.view.as_str()).cmp(&(b.update, b.view.as_str())));
+        FanoutReport { items: out, fanout, batch }
     }
 
-    /// Single-threaded convenience over [`check_indexed`](Self::check_indexed)
+    /// Single-threaded convenience over [`check_items`](Self::check_items)
     /// with `(view, text)` pairs indexed by position, packaged as a
     /// [`BatchReport`].
     pub fn check_batch_text(&self, items: &[(String, String)], db: &mut Db) -> BatchReport {
-        let indexed: Vec<(usize, &str, &str)> =
-            items.iter().enumerate().map(|(i, (v, t))| (i, v.as_str(), t.as_str())).collect();
-        let (items, stats) = self.check_indexed(&indexed, db, &mut ProbeCache::new());
-        BatchReport { items, stats }
+        let indexed: Vec<(usize, Option<&str>, &str)> =
+            items.iter().enumerate().map(|(i, (v, t))| (i, Some(v.as_str()), t.as_str())).collect();
+        let report = self.check_items(&indexed, db, &mut ProbeCache::new());
+        BatchReport {
+            items: report.items.into_iter().map(BatchItemReport::from).collect(),
+            stats: report.batch,
+        }
     }
 }
 

@@ -12,9 +12,11 @@
 //!   lock-ordering rule that makes deadlock impossible).
 //! * [`pool::CheckPool`] — a worker-pool executor (std threads + channels,
 //!   no external dependencies). Requests are routed by a deterministic
-//!   affinity hash of `(view, update text)`, so repeat-heavy traffic keeps
-//!   landing on the worker whose [`ufilter_core::ProbeCache`] is already
-//!   warm for it — cache reuse survives concurrency.
+//!   affinity hash of `(view, update text)` — of the update text alone for
+//!   `CHECKALL`/`BATCHALL` — so repeat-heavy traffic keeps landing on the
+//!   worker whose [`ufilter_core::ProbeCache`] is already warm for it —
+//!   cache reuse survives concurrency. Workers parse, route and check; a
+//!   checker panic fails only its own request.
 //! * [`proto`] + [`server::CheckServer`] — a line-oriented wire protocol
 //!   over `std::net` TCP (`CHECK`, `BATCH`, `CHECKALL`, `BATCHALL`,
 //!   `CATALOG ADD/DROP/LIST`, `STATS`, `SHUTDOWN`) whose `OK`/`ERR`
@@ -37,8 +39,8 @@
 //!
 //! let catalog = Arc::new(ShardedCatalog::new(bookdemo::book_schema(), 4));
 //! catalog.add("books", bookdemo::BOOK_VIEW).unwrap();
-//! let pool = CheckPool::new(Arc::clone(&catalog), &bookdemo::book_db(), 2);
-//! let reports = pool.check_one("books", bookdemo::U8);
+//! let pool = CheckPool::new(Arc::clone(&catalog), bookdemo::book_db(), 2);
+//! let reports = pool.check_one("books", bookdemo::U8).unwrap();
 //! assert!(reports[0].outcome.is_translatable());
 //! ```
 
@@ -52,6 +54,6 @@ pub mod server;
 
 pub use catalog::{affinity_hash, ShardedCatalog};
 pub use metrics::{StatsFamily, STATS_FAMILIES};
-pub use pool::{CheckPool, PoolStatsSnapshot};
+pub use pool::{CheckPool, PoolStatsSnapshot, WorkerPanic};
 pub use proto::Request;
 pub use server::{CheckServer, ShutdownHandle};

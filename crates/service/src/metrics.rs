@@ -174,6 +174,12 @@ pub const STATS_FAMILIES: &[StatsFamily] = &[
         "counter",
         "Independence rejections where the write-set could not be bounded.",
     ),
+    fam(
+        "panics",
+        "ufilter_worker_panics_total",
+        "counter",
+        "Check jobs a checker panic aborted (answered ERR internal; the worker recovered).",
+    ),
 ];
 
 /// The quantiles every summary family exposes.

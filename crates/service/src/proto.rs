@@ -45,7 +45,8 @@
 //! ```
 //!
 //! Any malformed or unknown request gets `ERR <escaped-detail>` and leaves
-//! the connection usable.
+//! the connection usable. A check request whose checker panicked gets
+//! `ERR` with the escaped detail `internal <panic message>`.
 
 use ufilter_core::wire::{escape, unescape};
 

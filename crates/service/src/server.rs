@@ -23,7 +23,7 @@ use ufilter_rdb::Db;
 
 use crate::catalog::ShardedCatalog;
 use crate::metrics::{self, STATS_FAMILIES};
-use crate::pool::CheckPool;
+use crate::pool::{CheckPool, WorkerPanic};
 use crate::proto::{err_reply, parse_batch_item, parse_batchall_item, parse_request, Request};
 
 /// Longest request line the server will buffer before giving up on the
@@ -60,11 +60,12 @@ pub struct CheckServer {
 
 impl CheckServer {
     /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and spawn a
-    /// pool of `workers` check workers, each owning a clone of `db`.
+    /// pool of `workers` check workers, each owning a clone of `db` (the
+    /// pool keeps `db` itself to restore a worker after a checker panic).
     pub fn bind(
         addr: &str,
         catalog: Arc<ShardedCatalog>,
-        db: &Db,
+        db: Db,
         workers: usize,
     ) -> std::io::Result<CheckServer> {
         let listener = TcpListener::bind(addr)?;
@@ -276,6 +277,13 @@ impl Connection {
         Some(false)
     }
 
+    /// Answer a request whose job a checker panic aborted: `ERR internal`
+    /// plus the escaped panic message, counted as an error.
+    fn reply_panic(&self, writer: &mut BufWriter<TcpStream>, panic: &WorkerPanic) -> Option<bool> {
+        self.stats.errors.fetch_add(1, Ordering::Relaxed);
+        self.reply(writer, &err_reply(&panic.to_string()))
+    }
+
     /// Handle one parsed request, wrapped with observability: per-verb
     /// latency recording (pool-backed verbs record themselves inside the
     /// pool, so both TCP and in-process callers hit the same histograms)
@@ -345,10 +353,10 @@ impl Connection {
                 self.reply(writer, "OK bye")?;
                 Some(true)
             }
-            Request::Check { view, update } => {
-                let reports = self.pool.check_one(&view, &update);
-                self.reply(writer, &format!("OK {}", report_line(&reports)))
-            }
+            Request::Check { view, update } => match self.pool.check_one(&view, &update) {
+                Ok(reports) => self.reply(writer, &format!("OK {}", report_line(&reports))),
+                Err(panic) => self.reply_panic(writer, &panic),
+            },
             Request::Batch { count } => {
                 let mut items: Vec<(String, String)> = Vec::with_capacity(count);
                 let mut bad: Option<String> = None;
@@ -374,7 +382,10 @@ impl Connection {
                     self.stats.errors.fetch_add(1, Ordering::Relaxed);
                     return self.reply(writer, &err_reply(&detail));
                 }
-                let report = self.pool.check_stream(&items);
+                let report = match self.pool.check_stream(&items) {
+                    Ok(report) => report,
+                    Err(panic) => return self.reply_panic(writer, &panic),
+                };
                 writeln!(writer, "OK {}", items.len()).ok()?;
                 for item in &report.items {
                     for r in &item.reports {
@@ -399,7 +410,10 @@ impl Connection {
                 Some(false)
             }
             Request::CheckAll { update } => {
-                let report = self.pool.check_all(&update);
+                let report = match self.pool.check_all(&update) {
+                    Ok(report) => report,
+                    Err(panic) => return self.reply_panic(writer, &panic),
+                };
                 writeln!(writer, "OK {}", report.items.len()).ok()?;
                 for item in &report.items {
                     for r in &item.reports {
@@ -441,7 +455,10 @@ impl Connection {
                     self.stats.errors.fetch_add(1, Ordering::Relaxed);
                     return self.reply(writer, &err_reply(&detail));
                 }
-                let report = self.pool.check_all_batch(&updates);
+                let report = match self.pool.check_all_batch(&updates) {
+                    Ok(report) => report,
+                    Err(panic) => return self.reply_panic(writer, &panic),
+                };
                 writeln!(writer, "OK {}", updates.len()).ok()?;
                 for item in &report.items {
                     for r in &item.reports {
@@ -553,9 +570,9 @@ impl Connection {
                 };
                 // Key order is a stable part of the reply format; the index
                 // counters (`fanout_requests` onward) always come last, in
-                // this order — the fan-out counters, then the routing-index
-                // gauges (`trie_*`) — and the CI smoke script parses them
-                // by name.
+                // this order — the fan-out counters, the routing-index
+                // gauges (`trie_*`), the independence counters, then
+                // `panics` — and the CI smoke script parses them by name.
                 let trie = self.catalog.index_stats();
                 let indep = ufilter_core::independence::stats();
                 self.reply(
@@ -569,7 +586,7 @@ impl Connection {
                          fanout_requests={} candidates={} pruned={} fallbacks={} \
                          trie_nodes={} trie_classes={} trie_postings={} trie_bytes={} trie_inserts={} \
                          trie_removes={} independence_checked={} independence_independent={} \
-                         independence_dependent={} independence_unknown={}",
+                         independence_dependent={} independence_unknown={} panics={}",
                         self.pool.workers(),
                         self.catalog.shard_count(),
                         self.catalog.len(),
@@ -596,6 +613,7 @@ impl Connection {
                         indep.independent,
                         indep.dependent,
                         indep.unknown,
+                        p.panics,
                     ),
                 )
             }
@@ -656,6 +674,7 @@ impl Connection {
             indep.independent,
             indep.dependent,
             indep.unknown,
+            p.panics as u64,
         ];
         metrics::render(&values, &obs::snapshot())
     }
@@ -710,7 +729,7 @@ mod tests {
         let catalog = Arc::new(ShardedCatalog::new(bookdemo::book_schema(), 4));
         catalog.add("books", bookdemo::BOOK_VIEW).unwrap();
         let db = bookdemo::book_db();
-        let server = CheckServer::bind("127.0.0.1:0", catalog, &db, workers).expect("binds");
+        let server = CheckServer::bind("127.0.0.1:0", catalog, db, workers).expect("binds");
         let addr = server.local_addr();
         let handle = std::thread::spawn(move || server.run().expect("serves"));
         (addr, handle)
@@ -818,7 +837,7 @@ mod tests {
         let stats = c.roundtrip("STATS");
         assert!(stats.contains("fanout_requests=3"), "{stats}");
         let keys: Vec<&str> = stats.split(' ').filter_map(|kv| kv.split('=').next()).collect();
-        let tail = &keys[keys.len() - 14..];
+        let tail = &keys[keys.len() - 15..];
         assert_eq!(
             tail,
             [
@@ -835,7 +854,8 @@ mod tests {
                 "independence_checked",
                 "independence_independent",
                 "independence_dependent",
-                "independence_unknown"
+                "independence_unknown",
+                "panics"
             ],
             "{stats}"
         );
@@ -855,6 +875,23 @@ mod tests {
         assert!(gauge("trie_bytes") > 0, "{stats}");
         assert!(gauge("trie_inserts") >= 1, "{stats}");
 
+        assert_eq!(c.roundtrip("SHUTDOWN"), "OK bye");
+        handle.join().expect("clean shutdown");
+    }
+
+    #[test]
+    fn a_checker_panic_answers_err_internal_and_the_worker_serves_on() {
+        let (addr, handle) = spawn_book_server(1);
+        let mut c = Client::connect(addr);
+        let failed =
+            c.roundtrip(&crate::proto::check_request("books", crate::pool::tests::INJECT_PANIC));
+        assert_eq!(failed, err_reply("internal injected worker panic"));
+        // The same (only) worker answers the next CHECK correctly.
+        let ok = c.roundtrip(&crate::proto::check_request("books", bookdemo::U8));
+        assert!(ok.starts_with("OK translatable"), "{ok}");
+        let stats = c.roundtrip("STATS");
+        assert!(stats.ends_with(" panics=1"), "{stats}");
+        assert!(stats.contains(" errors=1 "), "{stats}");
         assert_eq!(c.roundtrip("SHUTDOWN"), "OK bye");
         handle.join().expect("clean shutdown");
     }
@@ -1046,7 +1083,7 @@ mod tests {
             catalog.replay(&mut db, store.records()).unwrap();
             catalog.attach_store(Arc::new(Mutex::new(store)));
             let server =
-                CheckServer::bind("127.0.0.1:0", Arc::new(catalog), &db, 2).expect("binds");
+                CheckServer::bind("127.0.0.1:0", Arc::new(catalog), db.clone(), 2).expect("binds");
             let addr = server.local_addr();
             (addr, std::thread::spawn(move || server.run().expect("serves")))
         };
@@ -1108,7 +1145,7 @@ mod tests {
     fn shutdown_handle_stops_the_server() {
         let catalog = Arc::new(ShardedCatalog::new(bookdemo::book_schema(), 2));
         let db = bookdemo::book_db();
-        let server = CheckServer::bind("127.0.0.1:0", catalog, &db, 1).unwrap();
+        let server = CheckServer::bind("127.0.0.1:0", catalog, db, 1).unwrap();
         let shutdown = server.shutdown_handle();
         let handle = std::thread::spawn(move || server.run().unwrap());
         shutdown.shutdown();

@@ -73,12 +73,12 @@ PRUNED=$(sed -n 's/^--- views=[0-9]* candidates=[0-9]* pruned=\([0-9]*\) .*/\1/p
 # 27 views at checkall time: the 26-view manifest plus ci_books added above.
 [ "$PRUNED" -gt 0 ] || { echo "FAIL: checkall pruned nothing over 27 views"; exit 1; }
 
-# The STATS reply must carry the stable-ordered fan-out counters and the
-# routing-index gauges, and they must parse as integers (fanout_requests
-# counts the one checkall above).
+# The STATS reply must carry the stable-ordered fan-out counters, the
+# routing-index gauges and the worker panic count, and they must parse as
+# integers (fanout_requests counts the one checkall above).
 STATS_LINE=$(grep '^OK workers=' <<< "$CLIENT_OUT" | head -1)
 for key in connections_refused fanout_requests candidates pruned fallbacks \
-           trie_nodes trie_classes trie_postings trie_bytes trie_inserts trie_removes; do
+           trie_nodes trie_classes trie_postings trie_bytes trie_inserts trie_removes panics; do
     VAL=$(tr ' ' '\n' <<< "$STATS_LINE" | sed -n "s/^${key}=\([0-9]*\)$/\1/p")
     [[ "$VAL" =~ ^[0-9]+$ ]] || { echo "FAIL: STATS ${key} missing or non-numeric"; exit 1; }
     echo "STATS ${key}=${VAL}"

@@ -860,7 +860,7 @@ fn run() -> Result<bool, String> {
             }
             let catalog = catalog;
             let listen = args.listen.as_deref().unwrap_or("127.0.0.1:0");
-            let mut server = CheckServer::bind(listen, Arc::new(catalog), &db, workers)
+            let mut server = CheckServer::bind(listen, Arc::new(catalog), db, workers)
                 .map_err(|e| format!("{listen}: {e}"))?;
             server.set_slow_ms(args.slow_ms);
             if let Some(s) = recovered {

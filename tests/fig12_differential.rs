@@ -179,7 +179,7 @@ fn served_batch_is_byte_identical_to_check_batch() {
     for (name, text) in subset_views() {
         sharded.add(name, text).unwrap();
     }
-    let server = CheckServer::bind("127.0.0.1:0", sharded, &db, 2).expect("binds");
+    let server = CheckServer::bind("127.0.0.1:0", sharded, db, 2).expect("binds");
     let addr = server.local_addr();
     let handle = std::thread::spawn(move || server.run().expect("serves"));
     let mut c = Client::connect(addr);

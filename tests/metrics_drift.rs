@@ -17,7 +17,7 @@ use u_filter::service::{CheckServer, ShardedCatalog, STATS_FAMILIES};
 /// The `STATS` reply keys, in reply order, pinned. Changing this list is a
 /// wire-protocol change: update `STATS_FAMILIES`, the server's `STATS`
 /// arm, and `scripts/ci_service_smoke.sh` together.
-const PINNED_STATS_KEYS: [&str; 30] = [
+const PINNED_STATS_KEYS: [&str; 31] = [
     "workers",
     "shards",
     "views",
@@ -48,6 +48,7 @@ const PINNED_STATS_KEYS: [&str; 30] = [
     "independence_independent",
     "independence_dependent",
     "independence_unknown",
+    "panics",
 ];
 
 #[test]
@@ -108,7 +109,7 @@ fn live_stats_reply_and_metrics_exposition_carry_the_same_keys() {
     let catalog = Arc::new(ShardedCatalog::new(bookdemo::book_schema(), 4));
     catalog.add("books", bookdemo::BOOK_VIEW).expect("add view");
     let db = bookdemo::book_db();
-    let server = CheckServer::bind("127.0.0.1:0", catalog, &db, 2).expect("bind");
+    let server = CheckServer::bind("127.0.0.1:0", catalog, db, 2).expect("bind");
     let addr = server.local_addr().to_string();
     let handle = std::thread::spawn(move || server.run().expect("server run"));
 
@@ -163,6 +164,9 @@ fn live_stats_reply_and_metrics_exposition_carry_the_same_keys() {
     assert!(body.split(' ').any(|kv| kv == "trie_classes=1"), "{stats}");
     assert_eq!(metric_value("ufilter_connections_refused_total"), 0.0);
     assert!(body.split(' ').any(|kv| kv == "connections_refused=0"), "{stats}");
+    // No checker panicked.
+    assert_eq!(metric_value("ufilter_worker_panics_total"), 0.0);
+    assert!(body.split(' ').any(|kv| kv == "panics=0"), "{stats}");
     assert!(metric_value("ufilter_requests_total") >= 2.0);
     // The independence stage rides the same Stage taxonomy as every other
     // pipeline span, so its summary series must be present too.
